@@ -14,8 +14,8 @@
 //! * [`protocol`] — the [`Protocol`] trait every replication protocol in this
 //!   workspace implements, plus the [`Action`] output language consumed by the
 //!   discrete-event simulator (or any other runtime).
-//! * [`metrics`] — latency histograms and per-protocol counters (fast/slow
-//!   path ratios, commit-to-execute delays, …).
+//! * [`metrics`] — constant-size per-protocol counters (fast/slow path
+//!   ratios, commit-to-execute delays, …).
 //! * [`util`] — deterministic helpers (stable sorting by distance, simple
 //!   statistics).
 //!
@@ -36,6 +36,6 @@ pub mod view;
 pub use command::{shard_of, Command, Key, KvOp, ReconfigOp, Value};
 pub use config::Config;
 pub use id::{ClientId, Dot, DotGen, ProcessId, Rifl};
-pub use metrics::{Histogram, ProtocolMetrics, ProtocolStats};
+pub use metrics::ProtocolMetrics;
 pub use protocol::{Action, Protocol, Topology};
 pub use view::ClusterView;

@@ -1,131 +1,18 @@
-//! Metrics primitives: latency histograms and per-protocol counters.
+//! Per-protocol counters.
 //!
-//! The evaluation section of the paper reports average latencies, latency
-//! percentiles, fast-path ratios, throughput over time windows and
-//! commit-to-execute delays. [`Histogram`] and [`ProtocolMetrics`] collect the
-//! raw material for all of those.
+//! The evaluation section of the paper reports fast-path ratios and
+//! commit-to-execute delays alongside client latencies. [`ProtocolMetrics`]
+//! collects the protocol side of that: scalar counters plus count/sum/max
+//! moments, all constant-size, so a replica can keep recording into it for
+//! its whole life and snapshot it with the rest of its state. Client latency
+//! distributions live in `atlas_metrics::BoundedHistogram`.
 
 use serde::{Deserialize, Serialize};
 
-/// A simple exact histogram of `u64` samples (latencies in microseconds,
-/// batch sizes, …).
-///
-/// **Simulator-only.** Samples are kept in full, which is fine for the
-/// simulator's scale (at most a few million samples per run) and gives exact
-/// percentiles — but memory grows linearly with the sample count forever. A
-/// replica that stays up for weeks must not record into one of these on its
-/// command path; the runtime uses `atlas_metrics::BoundedHistogram` instead,
-/// which mirrors this API (`record`/`count`/`sum`/`mean`/`min`/`max`/
-/// `percentile`/`merge`/`clear`) at constant memory with a 6.25% quantile
-/// error bound. `atlas-metrics` ships a conversion (`From<&Histogram>`) and
-/// a test pinning the error bound between the two.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct Histogram {
-    samples: Vec<u64>,
-    sorted: bool,
-}
-
-impl Histogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, sample: u64) {
-        self.samples.push(sample);
-        self.sorted = false;
-    }
-
-    /// Number of recorded samples.
-    pub fn count(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Whether no sample has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Sum of all samples.
-    pub fn sum(&self) -> u128 {
-        self.samples.iter().map(|&s| s as u128).sum()
-    }
-
-    /// Arithmetic mean, or 0 if empty.
-    pub fn mean(&self) -> f64 {
-        if self.samples.is_empty() {
-            0.0
-        } else {
-            self.sum() as f64 / self.samples.len() as f64
-        }
-    }
-
-    /// Minimum sample, or 0 if empty.
-    pub fn min(&self) -> u64 {
-        self.samples.iter().copied().min().unwrap_or(0)
-    }
-
-    /// Maximum sample, or 0 if empty.
-    pub fn max(&self) -> u64 {
-        self.samples.iter().copied().max().unwrap_or(0)
-    }
-
-    /// Exact percentile (0.0–1.0, nearest-rank), or 0 if empty.
-    pub fn percentile(&mut self, p: f64) -> u64 {
-        assert!(
-            (0.0..=1.0).contains(&p),
-            "percentile must be in [0,1], got {p}"
-        );
-        if self.samples.is_empty() {
-            return 0;
-        }
-        if !self.sorted {
-            self.samples.sort_unstable();
-            self.sorted = true;
-        }
-        let rank = ((p * self.samples.len() as f64).ceil() as usize).clamp(1, self.samples.len());
-        self.samples[rank - 1]
-    }
-
-    /// Standard deviation of the samples, or 0 if fewer than two samples.
-    pub fn stddev(&self) -> f64 {
-        if self.samples.len() < 2 {
-            return 0.0;
-        }
-        let mean = self.mean();
-        let var = self
-            .samples
-            .iter()
-            .map(|&s| {
-                let d = s as f64 - mean;
-                d * d
-            })
-            .sum::<f64>()
-            / self.samples.len() as f64;
-        var.sqrt()
-    }
-
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        self.samples.extend_from_slice(&other.samples);
-        self.sorted = false;
-    }
-
-    /// Drops all samples, releasing their memory.
-    pub fn clear(&mut self) {
-        self.samples = Vec::new();
-        self.sorted = false;
-    }
-
-    /// Immutable view of the raw samples.
-    pub fn samples(&self) -> &[u64] {
-        &self.samples
-    }
-}
-
-/// Counters and histograms accumulated by a protocol replica.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// Counters and moments accumulated by a protocol replica — the same value
+/// the runtime exports as `MetricsSnapshot::protocol_stats`. Integer-only
+/// and constant-size: no sample is retained.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ProtocolMetrics {
     /// Commands committed via the fast path at this replica (as coordinator).
     pub fast_paths: u64,
@@ -139,70 +26,14 @@ pub struct ProtocolMetrics {
     pub recoveries: u64,
     /// `noOp` commands this replica committed during recovery.
     pub noops: u64,
-    /// Delay between local commit and local execution, per command (µs).
-    pub commit_to_execute: Histogram,
-    /// Size of execution batches (number of commands per batch).
-    pub batch_sizes: Histogram,
-    /// Number of dependencies per committed command.
-    pub dependency_counts: Histogram,
-}
-
-impl ProtocolMetrics {
-    /// Creates zeroed metrics.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Fraction of coordinator commits that took the fast path, in `[0, 1]`.
-    /// Returns `None` if this replica coordinated no commands.
-    pub fn fast_path_ratio(&self) -> Option<f64> {
-        let total = self.fast_paths + self.slow_paths;
-        (total > 0).then(|| self.fast_paths as f64 / total as f64)
-    }
-
-    /// Merges another replica's metrics into this one (used to aggregate
-    /// cluster-wide statistics).
-    pub fn merge(&mut self, other: &ProtocolMetrics) {
-        self.fast_paths += other.fast_paths;
-        self.slow_paths += other.slow_paths;
-        self.commits += other.commits;
-        self.executions += other.executions;
-        self.recoveries += other.recoveries;
-        self.noops += other.noops;
-        self.commit_to_execute.merge(&other.commit_to_execute);
-        self.batch_sizes.merge(&other.batch_sizes);
-        self.dependency_counts.merge(&other.dependency_counts);
-    }
-}
-
-/// A flat, integer-only digest of [`ProtocolMetrics`] suitable for the wire:
-/// every scalar counter plus constant-size moments of the histograms, no
-/// retained samples. This is what [`Protocol::protocol_stats`]
-/// (the default metrics hook) returns for any protocol, and what the
-/// runtime embeds in its `MetricsSnapshot`.
-///
-/// [`Protocol::protocol_stats`]: crate::Protocol::protocol_stats
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ProtocolStats {
-    /// Commands committed via the fast path at this replica (as coordinator).
-    pub fast_paths: u64,
-    /// Commands committed via the slow path at this replica (as coordinator).
-    pub slow_paths: u64,
-    /// Commands committed locally (any coordinator).
-    pub commits: u64,
-    /// Commands executed locally.
-    pub executions: u64,
-    /// Recoveries this replica initiated (took over as coordinator).
-    pub recoveries: u64,
-    /// `noOp` commands this replica committed during recovery.
-    pub noops: u64,
-    /// Samples in the commit-to-execute delay histogram.
+    /// Commands with a recorded commit-to-execute delay.
     pub commit_to_execute_count: u64,
     /// Sum of commit-to-execute delays (µs).
     pub commit_to_execute_sum_us: u128,
     /// Largest commit-to-execute delay (µs).
     pub commit_to_execute_max_us: u64,
-    /// Execution batches recorded.
+    /// Execution batches recorded (strongly connected components of the
+    /// dependency graph, for the graph-executing protocols).
     pub batch_count: u64,
     /// Sum of execution batch sizes.
     pub batch_sum: u128,
@@ -212,7 +43,31 @@ pub struct ProtocolStats {
     pub dependency_sum: u128,
 }
 
-impl ProtocolStats {
+impl ProtocolMetrics {
+    /// Creates zeroed metrics.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Records one command's delay between local commit and local execution.
+    pub fn record_commit_to_execute(&mut self, us: u64) {
+        self.commit_to_execute_count += 1;
+        self.commit_to_execute_sum_us += u128::from(us);
+        self.commit_to_execute_max_us = self.commit_to_execute_max_us.max(us);
+    }
+
+    /// Records one execution batch of `size` commands.
+    pub fn record_batch(&mut self, size: usize) {
+        self.batch_count += 1;
+        self.batch_sum += size as u128;
+    }
+
+    /// Records the dependency count of one committed command.
+    pub fn record_dependencies(&mut self, count: usize) {
+        self.dependency_count += 1;
+        self.dependency_sum += count as u128;
+    }
+
     /// Fraction of coordinator commits that took the fast path, in `[0, 1]`.
     /// Returns `None` if this replica coordinated no commands.
     pub fn fast_path_ratio(&self) -> Option<f64> {
@@ -222,33 +77,22 @@ impl ProtocolStats {
 
     /// Mean commit-to-execute delay in µs, or 0 if none recorded.
     pub fn commit_to_execute_mean_us(&self) -> f64 {
-        if self.commit_to_execute_count == 0 {
-            0.0
-        } else {
-            self.commit_to_execute_sum_us as f64 / self.commit_to_execute_count as f64
-        }
+        mean(self.commit_to_execute_sum_us, self.commit_to_execute_count)
     }
 
     /// Mean execution batch size, or 0 if none recorded.
     pub fn mean_batch_size(&self) -> f64 {
-        if self.batch_count == 0 {
-            0.0
-        } else {
-            self.batch_sum as f64 / self.batch_count as f64
-        }
+        mean(self.batch_sum, self.batch_count)
     }
 
     /// Mean dependencies per committed command, or 0 if none recorded.
     pub fn mean_dependencies(&self) -> f64 {
-        if self.dependency_count == 0 {
-            0.0
-        } else {
-            self.dependency_sum as f64 / self.dependency_count as f64
-        }
+        mean(self.dependency_sum, self.dependency_count)
     }
 
-    /// Accumulates another replica's stats (cluster-wide aggregation).
-    pub fn merge(&mut self, other: &ProtocolStats) {
+    /// Merges another replica's metrics into this one (cluster-wide
+    /// aggregation).
+    pub fn merge(&mut self, other: &ProtocolMetrics) {
         self.fast_paths += other.fast_paths;
         self.slow_paths += other.slow_paths;
         self.commits += other.commits;
@@ -267,87 +111,17 @@ impl ProtocolStats {
     }
 }
 
-impl From<&ProtocolMetrics> for ProtocolStats {
-    fn from(m: &ProtocolMetrics) -> Self {
-        Self {
-            fast_paths: m.fast_paths,
-            slow_paths: m.slow_paths,
-            commits: m.commits,
-            executions: m.executions,
-            recoveries: m.recoveries,
-            noops: m.noops,
-            commit_to_execute_count: m.commit_to_execute.count() as u64,
-            commit_to_execute_sum_us: m.commit_to_execute.sum(),
-            commit_to_execute_max_us: m.commit_to_execute.max(),
-            batch_count: m.batch_sizes.count() as u64,
-            batch_sum: m.batch_sizes.sum(),
-            dependency_count: m.dependency_counts.count() as u64,
-            dependency_sum: m.dependency_counts.sum(),
-        }
+fn mean(sum: u128, count: u64) -> f64 {
+    if count == 0 {
+        0.0
+    } else {
+        sum as f64 / count as f64
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn empty_histogram_is_well_behaved() {
-        let mut h = Histogram::new();
-        assert!(h.is_empty());
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.mean(), 0.0);
-        assert_eq!(h.min(), 0);
-        assert_eq!(h.max(), 0);
-        assert_eq!(h.percentile(0.99), 0);
-        assert_eq!(h.stddev(), 0.0);
-    }
-
-    #[test]
-    fn histogram_statistics() {
-        let mut h = Histogram::new();
-        for s in [10u64, 20, 30, 40, 50] {
-            h.record(s);
-        }
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.mean(), 30.0);
-        assert_eq!(h.min(), 10);
-        assert_eq!(h.max(), 50);
-        assert_eq!(h.percentile(0.5), 30);
-        assert_eq!(h.percentile(1.0), 50);
-        assert_eq!(h.percentile(0.0), 10);
-        assert!((h.stddev() - 14.142).abs() < 0.01);
-    }
-
-    #[test]
-    fn percentile_nearest_rank() {
-        let mut h = Histogram::new();
-        for s in 1..=100u64 {
-            h.record(s);
-        }
-        assert_eq!(h.percentile(0.95), 95);
-        assert_eq!(h.percentile(0.99), 99);
-        assert_eq!(h.percentile(0.01), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "percentile must be in")]
-    fn percentile_rejects_out_of_range() {
-        let mut h = Histogram::new();
-        h.record(1);
-        let _ = h.percentile(1.5);
-    }
-
-    #[test]
-    fn histogram_merge() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        a.record(1);
-        b.record(3);
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.mean(), 2.0);
-    }
 
     #[test]
     fn fast_path_ratio() {
@@ -359,40 +133,22 @@ mod tests {
     }
 
     #[test]
-    fn clear_resets_a_histogram() {
-        let mut h = Histogram::new();
-        h.record(5);
-        h.record(10);
-        h.clear();
-        assert!(h.is_empty());
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.max(), 0);
-        assert_eq!(h.percentile(0.99), 0);
-        h.record(3);
-        assert_eq!(h.count(), 1);
-    }
-
-    #[test]
-    fn protocol_stats_digest_matches_metrics() {
+    fn moments_track_count_sum_and_max() {
         let mut m = ProtocolMetrics::new();
-        m.fast_paths = 8;
-        m.slow_paths = 2;
-        m.commits = 10;
-        m.commit_to_execute.record(100);
-        m.commit_to_execute.record(300);
-        m.dependency_counts.record(1);
-        m.dependency_counts.record(3);
-        let s = crate::ProtocolStats::from(&m);
-        assert_eq!(s.fast_path_ratio(), m.fast_path_ratio());
-        assert_eq!(s.commit_to_execute_count, 2);
-        assert_eq!(s.commit_to_execute_mean_us(), 200.0);
-        assert_eq!(s.commit_to_execute_max_us, 300);
-        assert_eq!(s.mean_dependencies(), 2.0);
-        let mut agg = s.clone();
-        agg.merge(&s);
-        assert_eq!(agg.fast_paths, 16);
-        assert_eq!(agg.commit_to_execute_count, 4);
-        assert_eq!(agg.commit_to_execute_max_us, 300);
+        assert_eq!(m.commit_to_execute_mean_us(), 0.0);
+        assert_eq!(m.mean_batch_size(), 0.0);
+        assert_eq!(m.mean_dependencies(), 0.0);
+        m.record_commit_to_execute(100);
+        m.record_commit_to_execute(300);
+        m.record_dependencies(1);
+        m.record_dependencies(3);
+        m.record_batch(1);
+        m.record_batch(2);
+        assert_eq!(m.commit_to_execute_count, 2);
+        assert_eq!(m.commit_to_execute_mean_us(), 200.0);
+        assert_eq!(m.commit_to_execute_max_us, 300);
+        assert_eq!(m.mean_dependencies(), 2.0);
+        assert_eq!(m.mean_batch_size(), 1.5);
     }
 
     #[test]
@@ -400,16 +156,18 @@ mod tests {
         let mut a = ProtocolMetrics::new();
         a.fast_paths = 1;
         a.commits = 2;
-        a.commit_to_execute.record(5);
+        a.record_commit_to_execute(5);
         let mut b = ProtocolMetrics::new();
         b.fast_paths = 2;
         b.slow_paths = 4;
         b.commits = 6;
-        b.commit_to_execute.record(7);
+        b.record_commit_to_execute(7);
         a.merge(&b);
         assert_eq!(a.fast_paths, 3);
         assert_eq!(a.slow_paths, 4);
         assert_eq!(a.commits, 8);
-        assert_eq!(a.commit_to_execute.count(), 2);
+        assert_eq!(a.commit_to_execute_count, 2);
+        assert_eq!(a.commit_to_execute_sum_us, 12);
+        assert_eq!(a.commit_to_execute_max_us, 7);
     }
 }

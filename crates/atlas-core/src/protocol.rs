@@ -3,7 +3,7 @@
 //! its runtime (the discrete-event simulator, or any networked runtime).
 //!
 //! Protocols are written as *pure state machines*: every input (a client
-//! submission, an incoming message, a periodic tick, a failure suspicion)
+//! submission, an incoming message, a failure suspicion, a reconfiguration)
 //! returns a list of [`Action`]s — messages to send and commands that became
 //! executable. This makes protocols trivially testable and lets the planet
 //! simulator drive Atlas, EPaxos, Flexible Paxos and Mencius through the very
@@ -159,9 +159,15 @@ impl Topology {
 ///
 /// All methods take the current [`Time`] so protocols can record latency
 /// metrics and schedule timeout-based behaviour without reading a clock.
-pub trait Protocol: Sized {
+///
+/// The contract is total: every method is required and every protocol in
+/// this workspace supports all of it — snapshots, reconfiguration, garbage
+/// collection and catch-up base transfer. The state itself is the snapshot:
+/// a runtime persists a replica by serializing it whole, which is why the
+/// trait (and its message type) carry serde bounds.
+pub trait Protocol: Serialize + Deserialize + Send + 'static {
     /// The wire message type of the protocol.
-    type Message: Clone + std::fmt::Debug;
+    type Message: Clone + std::fmt::Debug + Serialize + Deserialize + Send + 'static;
 
     /// Human-readable protocol name (used in experiment reports).
     fn name() -> &'static str;
@@ -171,6 +177,19 @@ pub trait Protocol: Sized {
 
     /// This replica's identifier.
     fn id(&self) -> ProcessId;
+
+    /// The configuration this replica currently operates under: the boot
+    /// configuration until a [`reconfigure`](Protocol::reconfigure) call
+    /// derives a new one from its view.
+    fn config(&self) -> Config;
+
+    /// The [`ClusterView`] this replica currently operates in. The runtime
+    /// derives the target of a `Reconfigure` barrier from **this** view —
+    /// `enter`/`finalize` applied to the protocol's own configuration,
+    /// which may lag the runtime's announcement-fed view — so it must
+    /// advance exactly and only at [`Protocol::reconfigure`] calls (and
+    /// marker/state restores).
+    fn view(&self) -> &ClusterView;
 
     /// Submits a command on behalf of a local client; the replica becomes the
     /// command's (initial) coordinator.
@@ -186,20 +205,12 @@ pub trait Protocol: Sized {
 
     /// Approximate wire size of a message in bytes. Runtimes use it to model
     /// serialization/bandwidth costs (e.g. a leader broadcasting 3 KB
-    /// payloads to every replica). The default is a small fixed overhead.
-    fn message_size(_msg: &Self::Message) -> usize {
-        128
-    }
-
-    /// Periodic tick (the simulator calls this at a fixed cadence). Default:
-    /// no-op.
-    fn tick(&mut self, _time: Time) -> Vec<Action<Self::Message>> {
-        Vec::new()
-    }
+    /// payloads to every replica).
+    fn message_size(msg: &Self::Message) -> usize;
 
     /// Notifies the replica that `suspected` is believed to have failed.
     /// Leaderless protocols recover the suspected process's in-flight
-    /// commands; leader-based protocols elect a new leader. Default: no-op.
+    /// commands; leader-based protocols elect a new leader.
     ///
     /// Both the simulator and the networked runtime's failure detector call
     /// this, so implementations must uphold two contracts:
@@ -221,34 +232,13 @@ pub trait Protocol: Sized {
     /// A wrong suspicion must be *safe* (consensus-protected), merely not
     /// free: the paper only requires the detector to be eventually accurate
     /// for liveness.
-    fn suspect(&mut self, _suspected: ProcessId, _time: Time) -> Vec<Action<Self::Message>> {
-        Vec::new()
-    }
-
-    /// The configuration epoch this replica currently operates in (see
-    /// [`ClusterView`]). Protocols without reconfiguration support stay at
-    /// the default `0` forever.
-    fn epoch(&self) -> u64 {
-        0
-    }
-
-    /// The full [`ClusterView`] this replica currently operates in, when
-    /// the protocol supports reconfiguration (`None`, the default,
-    /// otherwise). The runtime derives the target of a `Reconfigure`
-    /// barrier from **this** view — `enter`/`finalize` applied to the
-    /// protocol's own configuration, which may lag the runtime's
-    /// announcement-fed view — so it must advance exactly and only at
-    /// [`Protocol::reconfigure`] calls (and marker/state restores).
-    fn cluster_view(&self) -> Option<ClusterView> {
-        None
-    }
+    fn suspect(&mut self, suspected: ProcessId, time: Time) -> Vec<Action<Self::Message>>;
 
     /// Installs a new [`ClusterView`]: the replica switches to gathering
     /// quorums from `view.members` (and, while `view.is_joint()`, from the
     /// outgoing members too), and re-drives any of its own in-flight
     /// proposals under the new view so they cannot strand waiting for
-    /// quorums that no longer form. Default: no-op (no reconfiguration
-    /// support — the runtime then never changes the member set).
+    /// quorums that no longer form.
     ///
     /// The runtime calls this when a `Reconfigure` barrier command executes
     /// (the same position of the execution order on every replica) or when
@@ -257,10 +247,10 @@ pub trait Protocol: Sized {
     /// [`Protocol::gc_executed`]:
     ///
     /// * **Idempotent.** Applying a view whose `epoch` is not newer than
-    ///   [`Protocol::epoch`] must change nothing and return no actions —
-    ///   the runtime may deliver the same switch twice (once from the
-    ///   barrier's execution, once from a journal record or a peer's epoch
-    ///   announcement).
+    ///   the current [`view`](Protocol::view)'s must change nothing and
+    ///   return no actions — the runtime may deliver the same switch twice
+    ///   (once from the barrier's execution, once from a journal record or
+    ///   a peer's epoch announcement).
     /// * **Deterministic for replay.** Epoch switches are protocol inputs:
     ///   they are journaled (or re-derived by re-executing the barrier)
     ///   and replayed in order after a crash. The result must depend only
@@ -277,41 +267,13 @@ pub trait Protocol: Sized {
     ///   [`ClusterView::ballot_floor`], so ballot-to-owner arithmetic
     ///   (which is modular in the member count) can never collide across
     ///   epochs.
-    fn reconfigure(&mut self, _view: &ClusterView, _time: Time) -> Vec<Action<Self::Message>> {
-        Vec::new()
-    }
-
-    /// Serializes the replica's complete state for a durable snapshot.
-    ///
-    /// A runtime with a write-ahead log calls this periodically so it can
-    /// truncate the journaled input prefix the snapshot covers;
-    /// [`Protocol::restore_state`] must rebuild an equivalent replica from
-    /// the returned bytes. Returning `None` (the default) tells the runtime
-    /// the protocol does not support snapshotting — the runtime then keeps
-    /// the full input journal and recovers by replaying it from the start.
-    fn save_state(&self) -> Option<Vec<u8>> {
-        None
-    }
-
-    /// Rebuilds a replica from bytes produced by [`Protocol::save_state`] on
-    /// a replica with the same identifier and configuration. Returns `None`
-    /// if the bytes cannot be decoded or belong to a different replica — the
-    /// caller must treat that as corruption, not as an empty state.
-    fn restore_state(
-        _id: ProcessId,
-        _config: Config,
-        _topology: Topology,
-        _state: &[u8],
-    ) -> Option<Self> {
-        None
-    }
+    fn reconfigure(&mut self, view: &ClusterView, time: Time) -> Vec<Action<Self::Message>>;
 
     /// Messages that, replayed through [`Protocol::handle`] on a fresh
     /// replica, convey every command this replica has committed — the
     /// payload of a peer-assisted catch-up (state transfer). Commit-style
     /// messages are idempotent in every protocol of this workspace, so
     /// applying a committed log on top of partially known state is safe.
-    /// Default: empty (no catch-up support).
     ///
     /// Note that after [`Protocol::gc_executed`] has run, only entries
     /// above the compaction floor remain here — a runtime serving catch-up
@@ -322,9 +284,7 @@ pub trait Protocol: Sized {
     /// the full retained log (executed entries included) is what keeps
     /// catch-up complete: an entry executed here may still be unknown to
     /// the peer whose base the receiver installed.
-    fn committed_log(&self) -> Vec<Self::Message> {
-        Vec::new()
-    }
+    fn committed_log(&self) -> Vec<Self::Message>;
 
     /// This replica's **executed watermarks**: for every identifier space
     /// (a coordinating process for dot-based protocols, the sentinel
@@ -346,10 +306,7 @@ pub trait Protocol: Sized {
     ///   need a peer to re-send a commit for an identifier `<= w`.
     ///
     /// Sorted by space identifier, deterministic for a given state.
-    /// Default: empty (the runtime then never garbage-collects).
-    fn executed_watermarks(&self) -> Vec<(ProcessId, u64)> {
-        Vec::new()
-    }
+    fn executed_watermarks(&self) -> Vec<(ProcessId, u64)>;
 
     /// Drops bookkeeping for entries at or below `horizon` — the pointwise
     /// minimum of every replica's [`executed
@@ -373,11 +330,7 @@ pub trait Protocol: Sized {
     ///   the entry were still present in its terminal phase — never
     ///   treated as a fresh command. Digests and per-key execution order
     ///   must be indistinguishable from a never-collected replica.
-    ///
-    /// Default: no-op returning 0 (no GC support).
-    fn gc_executed(&mut self, _horizon: &[(ProcessId, u64)]) -> u64 {
-        0
-    }
+    fn gc_executed(&mut self, horizon: &[(ProcessId, u64)]) -> u64;
 
     /// Serializes this replica's **executed-state marker**: an opaque,
     /// protocol-defined encoding of *which* identifiers the local state
@@ -389,34 +342,24 @@ pub trait Protocol: Sized {
     /// [`Protocol::restore_executed`], and replays the peers' retained
     /// [`committed_log`](Protocol::committed_log)s on top (base-covered
     /// entries replay as no-ops).
-    /// Returning `None` (the default) disables base transfer — catch-up
-    /// then falls back to replaying the full committed log, which is only
-    /// complete while [`Protocol::gc_executed`] has never collected
-    /// anything.
-    fn save_executed(&self) -> Option<Vec<u8>> {
-        None
-    }
+    fn save_executed(&self) -> Vec<u8>;
 
     /// Installs an executed-state marker produced by a **peer's**
     /// [`Protocol::save_executed`] into this replica. Must only be called
     /// on a replica whose state machine is otherwise untouched (a wiped
     /// rejoiner before it has executed anything); marking an identifier
     /// executed suppresses its future execution, so installing a marker
-    /// over real progress would skip commands. Returns `false` if the
-    /// bytes cannot be decoded — the caller must treat that as a failed
-    /// catch-up attempt, not as an empty marker. Default: `false`.
-    fn restore_executed(&mut self, _marker: &[u8]) -> bool {
-        false
-    }
+    /// over real progress would skip commands. Returns `false` — changing
+    /// nothing — if the bytes cannot be decoded or this replica has already
+    /// executed something.
+    fn restore_executed(&mut self, marker: &[u8]) -> bool;
 
     /// Number of per-command bookkeeping entries currently held (command
     /// info maps, decided-slot maps, …) — the quantity
     /// [`Protocol::gc_executed`] exists to bound. Observability only; the
     /// runtime exposes it to clients so tests and operators can assert the
-    /// maps stay bounded under GC. Default: 0.
-    fn tracked_entries(&self) -> usize {
-        0
-    }
+    /// maps stay bounded under GC.
+    fn tracked_entries(&self) -> usize;
 
     /// The highest command sequence number (dot sequence or log slot) this
     /// replica has *seen* — committed or not — originating from `source`.
@@ -424,29 +367,18 @@ pub trait Protocol: Sized {
     /// A replica that lost its state and rejoins asks its peers for this
     /// horizon and calls [`Protocol::advance_identifiers`] with the maximum,
     /// so the identifiers of its previous incarnation are never reissued for
-    /// different commands. Default: 0 (nothing seen).
-    fn seen_horizon(&self, _source: ProcessId) -> u64 {
-        0
-    }
+    /// different commands.
+    fn seen_horizon(&self, source: ProcessId) -> u64;
 
     /// Ensures every identifier this replica generates from now on is
     /// strictly greater than `past` (in its own identifier space). Called
     /// during peer-assisted catch-up with the peers' [`seen
-    /// horizon`](Protocol::seen_horizon) for this replica. Default: no-op.
-    fn advance_identifiers(&mut self, _past: u64) {}
+    /// horizon`](Protocol::seen_horizon) for this replica.
+    fn advance_identifiers(&mut self, past: u64);
 
-    /// Protocol metrics accumulated so far.
+    /// Protocol metrics accumulated so far: constant-size counters and
+    /// moments, exported whole over the runtime's stats plane.
     fn metrics(&self) -> &ProtocolMetrics;
-
-    /// Constant-size digest of [`metrics`](Protocol::metrics) for export
-    /// over the stats plane: scalar counters (fast/slow paths, commits,
-    /// recoveries, …) plus histogram moments, no retained samples. The
-    /// default derives it from `metrics()`, so every protocol — including
-    /// ones outside this workspace — reports a fast-path ratio for free;
-    /// override only to export counters `ProtocolMetrics` does not carry.
-    fn protocol_stats(&self) -> crate::metrics::ProtocolStats {
-        crate::metrics::ProtocolStats::from(self.metrics())
-    }
 }
 
 #[cfg(test)]

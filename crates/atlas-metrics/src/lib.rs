@@ -4,12 +4,12 @@
 //! counter/gauge cells, and the [`MetricsSnapshot`] a replica exports over
 //! the stats plane.
 //!
-//! The simulator measures with the exact, sample-retaining
-//! [`atlas_core::Histogram`]; a long-lived replica cannot afford that, so
-//! the runtime records into [`BoundedHistogram`] (plain, for export) and
+//! Nothing here retains samples: a long-lived replica cannot afford that,
+//! so the runtime records into [`BoundedHistogram`] (plain, for export) and
 //! [`AtomicHistogram`] (shared, for the hot path) — log-bucketed at 16
-//! sub-buckets per octave, 6.25% worst-case quantile error, ~8 KiB each,
-//! forever.
+//! sub-buckets per octave, exact count/sum/min/max, 6.25% worst-case
+//! quantile error, ~8 KiB each, forever. The simulator's client latencies
+//! use the same [`BoundedHistogram`].
 //!
 //! Three consumers read the same [`MetricsSnapshot`]:
 //!

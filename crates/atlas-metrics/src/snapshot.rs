@@ -10,7 +10,7 @@
 //! histogram to a summary object.
 
 use crate::histogram::BoundedHistogram;
-use atlas_core::{ProcessId, ProtocolStats};
+use atlas_core::{ProcessId, ProtocolMetrics};
 use serde::{Deserialize, Serialize};
 
 /// Compact percentile summary of a [`BoundedHistogram`], used for JSON
@@ -180,8 +180,10 @@ pub struct MetricsSnapshot {
     pub uptime_us: u64,
     /// Command lifecycle counters and stage latencies.
     pub lifecycle: LifecycleStats,
-    /// Protocol-level counters (fast/slow paths, recoveries, …).
-    pub protocol_stats: ProtocolStats,
+    /// Protocol-level counters and moments (fast/slow paths, recoveries,
+    /// commit-to-execute delays, …): the hosted protocol's
+    /// [`ProtocolMetrics`], shipped whole.
+    pub protocol_stats: ProtocolMetrics,
     /// Journal / WAL counters.
     pub durability: DurabilityStats,
     /// Failure-detector counters.

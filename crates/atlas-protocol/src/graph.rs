@@ -15,18 +15,13 @@
 //! on a not-yet-committed dependency are indexed so they are retried exactly
 //! when that dependency commits.
 
-use atlas_core::{Command, Dot, ProcessId};
+use atlas_core::{Command, Dot, ProcessId, ProtocolMetrics};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
 /// Outcome of adding a committed command to the executor: the list of
 /// commands that became executable, in execution order.
 pub type ExecutionBatch = Vec<(Dot, Command)>;
-
-/// Bound on the per-batch size record kept for metrics; garbage collection
-/// drains the oldest entries beyond it so the record cannot grow without
-/// bound on a long-lived replica.
-const BATCH_SIZES_CAP: usize = 4096;
 
 /// Compact encoding of the graph's executed set — the protocol's
 /// executed-state marker shipped to a wiped peer during catch-up base
@@ -77,9 +72,6 @@ pub struct DependencyGraph {
     waiting_on: HashMap<Dot, HashSet<Dot>>,
     /// Total number of executed commands.
     executed_count: u64,
-    /// Sizes of the batches executed so far (bounded; GC drains the oldest
-    /// entries past [`BATCH_SIZES_CAP`]).
-    batch_sizes: Vec<usize>,
     /// Per-source contiguous executed prefix: every dot `⟨s, 1..=f⟩` is
     /// executed. Drives the executed watermarks exchanged for GC.
     frontiers: HashMap<ProcessId, u64>,
@@ -135,10 +127,6 @@ impl DependencyGraph {
         let floor = &self.floor;
         self.executed
             .retain(|dot| dot.seq > floor.get(&dot.source).copied().unwrap_or(0));
-        if self.batch_sizes.len() > BATCH_SIZES_CAP {
-            let excess = self.batch_sizes.len() - BATCH_SIZES_CAP;
-            self.batch_sizes.drain(..excess);
-        }
         (before - self.executed.len()) as u64
     }
 
@@ -203,11 +191,6 @@ impl DependencyGraph {
         self.executed_count
     }
 
-    /// Sizes of all executed batches so far.
-    pub fn batch_sizes(&self) -> &[usize] {
-        &self.batch_sizes
-    }
-
     /// The dots that some committed command is waiting for (i.e. dependencies
     /// that have not been committed here yet). Used to trigger recovery of
     /// missing commands after a coordinator failure.
@@ -226,6 +209,18 @@ impl DependencyGraph {
     /// dependants) but are filtered out of the returned batch since they must
     /// not be applied to the state machine.
     pub fn commit(&mut self, dot: Dot, cmd: Command, deps: Vec<Dot>) -> ExecutionBatch {
+        self.commit_recording(dot, cmd, deps, &mut ProtocolMetrics::new())
+    }
+
+    /// [`commit`](DependencyGraph::commit), recording the size of every
+    /// batch (strongly connected component) it executes into `metrics`.
+    pub fn commit_recording(
+        &mut self,
+        dot: Dot,
+        cmd: Command,
+        deps: Vec<Dot>,
+        metrics: &mut ProtocolMetrics,
+    ) -> ExecutionBatch {
         if self.is_committed(&dot) {
             // Duplicate MCommit deliveries are possible (e.g. after recovery);
             // they must be idempotent.
@@ -249,7 +244,7 @@ impl DependencyGraph {
         let mut blocked_on: HashMap<Dot, Dot> = HashMap::new();
         for candidate in candidates {
             if self.pending.contains_key(&candidate) && !blocked_on.contains_key(&candidate) {
-                self.try_execute(candidate, &mut blocked_on, &mut executed);
+                self.try_execute(candidate, &mut blocked_on, &mut executed, metrics);
             }
         }
         executed
@@ -266,13 +261,15 @@ impl DependencyGraph {
     }
 
     /// Attempts to execute the closure of `root`; appends executed commands
-    /// (in order) to `out`. On failure (the closure reaches an uncommitted
-    /// dot), indexes the DFS path on that dot and records it in `blocked_on`.
+    /// (in order) to `out` and records each batch's size in `metrics`. On
+    /// failure (the closure reaches an uncommitted dot), indexes the DFS path
+    /// on that dot and records it in `blocked_on`.
     fn try_execute(
         &mut self,
         root: Dot,
         blocked_on: &mut HashMap<Dot, Dot>,
         out: &mut ExecutionBatch,
+        metrics: &mut ProtocolMetrics,
     ) {
         // 1. Compute the closure of `root` over non-executed dependencies,
         //    with a DFS that tracks its current path: on a missing (or
@@ -356,7 +353,7 @@ impl DependencyGraph {
             // Inside a batch, commands follow the fixed total order `<` on
             // identifiers (Algorithm 3, line 55).
             scc.sort_unstable();
-            self.batch_sizes.push(scc.len());
+            metrics.record_batch(scc.len());
             for dot in scc {
                 let vertex = self
                     .pending
@@ -505,9 +502,16 @@ mod tests {
         let a = Dot::new(1, 1);
         let b = Dot::new(5, 1);
         // Processes 1 and 2 commit a first, then b: two singleton batches.
-        assert_eq!(dots(&g.commit(a, cmd(1), vec![])), vec![a]);
-        assert_eq!(dots(&g.commit(b, cmd(2), vec![a])), vec![b]);
-        assert_eq!(g.batch_sizes(), &[1, 1]);
+        let mut m = ProtocolMetrics::new();
+        assert_eq!(
+            dots(&g.commit_recording(a, cmd(1), vec![], &mut m)),
+            vec![a]
+        );
+        assert_eq!(
+            dots(&g.commit_recording(b, cmd(2), vec![a], &mut m)),
+            vec![b]
+        );
+        assert_eq!((m.batch_count, m.batch_sum), (2, 2));
     }
 
     #[test]
@@ -516,12 +520,13 @@ mod tests {
         let mut g = DependencyGraph::new();
         let a = Dot::new(1, 1);
         let b = Dot::new(5, 1);
-        assert!(g.commit(b, cmd(2), vec![a]).is_empty());
+        let mut m = ProtocolMetrics::new();
+        assert!(g.commit_recording(b, cmd(2), vec![a], &mut m).is_empty());
         assert!(!g.is_executed(&b));
         // When a commits, both execute — a first, in two singleton batches.
-        let out = g.commit(a, cmd(1), vec![]);
+        let out = g.commit_recording(a, cmd(1), vec![], &mut m);
         assert_eq!(dots(&out), vec![a, b]);
-        assert_eq!(g.batch_sizes(), &[1, 1]);
+        assert_eq!((m.batch_count, m.batch_sum), (2, 2));
     }
 
     #[test]
@@ -530,11 +535,12 @@ mod tests {
         let mut g = DependencyGraph::new();
         let a = Dot::new(2, 1);
         let b = Dot::new(1, 1);
-        assert!(g.commit(a, cmd(1), vec![b]).is_empty());
-        let out = g.commit(b, cmd(2), vec![a]);
+        let mut m = ProtocolMetrics::new();
+        assert!(g.commit_recording(a, cmd(1), vec![b], &mut m).is_empty());
+        let out = g.commit_recording(b, cmd(2), vec![a], &mut m);
         // b = ⟨1,1⟩ < a = ⟨2,1⟩, so b executes first within the batch.
         assert_eq!(dots(&out), vec![b, a]);
-        assert_eq!(g.batch_sizes(), &[2]);
+        assert_eq!((m.batch_count, m.batch_sum), (1, 2));
     }
 
     #[test]

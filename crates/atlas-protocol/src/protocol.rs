@@ -85,10 +85,9 @@ impl Info {
 /// Drive it through the [`Protocol`] trait: [`Protocol::submit`] makes this
 /// replica the initial coordinator of a command, [`Protocol::handle`]
 /// processes a message from a peer, and [`Protocol::suspect`] triggers
-/// recovery of a failed peer's in-flight commands. [`Protocol::save_state`]
-/// / [`Protocol::restore_state`] serialize the whole replica for durable
-/// snapshots (every field below, including the conflict index and the
-/// execution graph, round-trips through serde).
+/// recovery of a failed peer's in-flight commands. A runtime snapshots the
+/// whole replica through serde (every field below, including the conflict
+/// index and the execution graph, round-trips).
 #[derive(Debug, Serialize, Deserialize)]
 pub struct Atlas {
     pub(crate) id: ProcessId,
@@ -416,10 +415,12 @@ impl Atlas {
         if cmd.is_noop() {
             self.metrics.noops += 1;
         }
-        self.metrics.dependency_counts.record(deps.len() as u64);
+        self.metrics.record_dependencies(deps.len());
         self.commit_times.insert(dot, time);
 
-        let executed = self.graph.commit(dot, cmd, deps.into_iter().collect());
+        let executed =
+            self.graph
+                .commit_recording(dot, cmd, deps.into_iter().collect(), &mut self.metrics);
         self.process_executions(executed, time)
     }
 
@@ -438,12 +439,10 @@ impl Atlas {
             self.metrics.executions += 1;
             if let Some(commit_time) = self.commit_times.remove(&dot) {
                 self.metrics
-                    .commit_to_execute
-                    .record(time.saturating_sub(commit_time));
+                    .record_commit_to_execute(time.saturating_sub(commit_time));
             }
             actions.push(Action::Execute { dot, cmd });
         }
-        // Record batch sizes observed so far (kept in the graph).
         actions
     }
 
@@ -486,6 +485,14 @@ impl Protocol for Atlas {
 
     fn id(&self) -> ProcessId {
         self.id
+    }
+
+    fn config(&self) -> Config {
+        self.config
+    }
+
+    fn view(&self) -> &ClusterView {
+        &self.view
     }
 
     fn submit(&mut self, cmd: Command, _time: Time) -> Vec<Action<Message>> {
@@ -555,23 +562,6 @@ impl Protocol for Atlas {
         self.recover_suspected(suspected, time)
     }
 
-    fn save_state(&self) -> Option<Vec<u8>> {
-        Some(bincode::serialize(self).expect("replica state always encodes"))
-    }
-
-    fn restore_state(
-        id: ProcessId,
-        config: Config,
-        _topology: Topology,
-        state: &[u8],
-    ) -> Option<Self> {
-        let state: Atlas = bincode::deserialize(state).ok()?;
-        // Past epoch 0 the authoritative configuration is the one the
-        // snapshot's view carries — the caller can only know the boot-time
-        // configuration, which a reconfiguration may have replaced.
-        (state.id == id && (state.view.epoch > 0 || state.config == config)).then_some(state)
-    }
-
     fn committed_log(&self) -> Vec<Message> {
         let mut commits: Vec<(Dot, Message)> = self
             .info
@@ -628,13 +618,13 @@ impl Protocol for Atlas {
         dropped
     }
 
-    fn save_executed(&self) -> Option<Vec<u8>> {
+    fn save_executed(&self) -> Vec<u8> {
         // The view rides along so a bootstrap base that covers an executed
         // `Reconfigure` barrier still hands the joiner the configuration it
         // must gather quorums in (the message tail only replays what the
         // base does not cover).
         let marker = (self.graph.executed_marker(), self.view.clone());
-        Some(bincode::serialize(&marker).expect("markers always encode"))
+        bincode::serialize(&marker).expect("markers always encode")
     }
 
     fn restore_executed(&mut self, marker: &[u8]) -> bool {
@@ -678,14 +668,6 @@ impl Protocol for Atlas {
 
     fn metrics(&self) -> &ProtocolMetrics {
         &self.metrics
-    }
-
-    fn epoch(&self) -> u64 {
-        self.view.epoch
-    }
-
-    fn cluster_view(&self) -> Option<ClusterView> {
-        Some(self.view.clone())
     }
 
     fn reconfigure(&mut self, view: &ClusterView, time: Time) -> Vec<Action<Message>> {
@@ -954,6 +936,8 @@ mod tests {
         let m = cluster.replicas[0].metrics();
         assert_eq!(m.commits, 2);
         assert_eq!(m.executions, 2);
-        assert!(m.dependency_counts.count() >= 2);
+        assert!(m.dependency_count >= 2);
+        // Two conflicting commands, committed in order: singleton batches.
+        assert_eq!((m.batch_count, m.batch_sum), (2, 2));
     }
 }

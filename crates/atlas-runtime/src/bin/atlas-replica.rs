@@ -63,7 +63,6 @@ use atlas_core::{Config, ProcessId, Protocol};
 use atlas_log::FlushPolicy;
 use atlas_runtime::replica::{self, ReplicaConfig};
 use atlas_runtime::NetProfile;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -212,11 +211,7 @@ fn parse_args() -> Args {
     args
 }
 
-fn run<P>(args: &Args)
-where
-    P: Protocol + Send + 'static,
-    P::Message: Serialize + Deserialize + Send + 'static,
-{
+fn run<P: Protocol>(args: &Args) {
     let n = args.addrs.len();
     let config = Config::new(n, args.f).with_nfr(args.nfr);
     let addrs: HashMap<ProcessId, SocketAddr> = args.addrs.iter().copied().collect();

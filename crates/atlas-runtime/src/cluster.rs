@@ -8,7 +8,6 @@ use crate::netem::NetProfile;
 use crate::replica::{self, ReplicaConfig, ReplicaHandle};
 use atlas_core::{Config, ProcessId, Protocol, ReconfigOp};
 use atlas_log::{FlushPolicy, TempDir};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::io;
 use std::net::SocketAddr;
@@ -25,7 +24,7 @@ const ADMIN_CLIENT_BASE: u64 = 0xAD31_0000;
 /// process crash keeps the journal, and tests never power-fail the host).
 #[derive(Debug, Clone)]
 pub struct ClusterOptions {
-    /// Cadence of [`Protocol::tick`] events.
+    /// Cadence of the replicas' periodic ticks.
     pub tick_interval: Duration,
     /// fsync batching of the per-replica journals.
     pub flush_policy: FlushPolicy,
@@ -192,20 +191,15 @@ impl Cluster {
     /// ports. Returns once every replica's listener is live (replicas dial
     /// each other lazily with reconnecting links, so no start-order dance is
     /// needed).
-    pub async fn spawn<P>(config: Config) -> io::Result<Self>
-    where
-        P: Protocol + Send + 'static,
-        P::Message: Serialize + Deserialize + Send + 'static,
-    {
+    pub async fn spawn<P: Protocol>(config: Config) -> io::Result<Self> {
         Self::spawn_with::<P>(config, ClusterOptions::default()).await
     }
 
-    /// Like [`Cluster::spawn`], with an explicit [`Protocol::tick`] cadence.
-    pub async fn spawn_with_tick<P>(config: Config, tick_interval: Duration) -> io::Result<Self>
-    where
-        P: Protocol + Send + 'static,
-        P::Message: Serialize + Deserialize + Send + 'static,
-    {
+    /// Like [`Cluster::spawn`], with an explicit tick cadence.
+    pub async fn spawn_with_tick<P: Protocol>(
+        config: Config,
+        tick_interval: Duration,
+    ) -> io::Result<Self> {
         let options = ClusterOptions {
             tick_interval,
             ..ClusterOptions::default()
@@ -214,11 +208,10 @@ impl Cluster {
     }
 
     /// Boots the cluster with explicit [`ClusterOptions`].
-    pub async fn spawn_with<P>(config: Config, options: ClusterOptions) -> io::Result<Self>
-    where
-        P: Protocol + Send + 'static,
-        P::Message: Serialize + Deserialize + Send + 'static,
-    {
+    pub async fn spawn_with<P: Protocol>(
+        config: Config,
+        options: ClusterOptions,
+    ) -> io::Result<Self> {
         let data_root = DataRoot::create()?;
         // Bind every replica on port 0 first, so the full address map exists
         // before any replica starts.
@@ -318,11 +311,7 @@ impl Cluster {
     /// # Panics
     ///
     /// Panics if the replica is still running.
-    pub async fn restart<P>(&mut self, id: ProcessId) -> io::Result<()>
-    where
-        P: Protocol + Send + 'static,
-        P::Message: Serialize + Deserialize + Send + 'static,
-    {
+    pub async fn restart<P: Protocol>(&mut self, id: ProcessId) -> io::Result<()> {
         self.restart_inner::<P>(id, false).await
     }
 
@@ -333,11 +322,7 @@ impl Cluster {
     /// # Panics
     ///
     /// Panics if the replica is still running.
-    pub async fn restart_wiped<P>(&mut self, id: ProcessId) -> io::Result<()>
-    where
-        P: Protocol + Send + 'static,
-        P::Message: Serialize + Deserialize + Send + 'static,
-    {
+    pub async fn restart_wiped<P: Protocol>(&mut self, id: ProcessId) -> io::Result<()> {
         let dir = &self.dirs[&id];
         if dir.exists() {
             std::fs::remove_dir_all(dir)?;
@@ -345,11 +330,11 @@ impl Cluster {
         self.restart_inner::<P>(id, true).await
     }
 
-    async fn restart_inner<P>(&mut self, id: ProcessId, catch_up: bool) -> io::Result<()>
-    where
-        P: Protocol + Send + 'static,
-        P::Message: Serialize + Deserialize + Send + 'static,
-    {
+    async fn restart_inner<P: Protocol>(
+        &mut self,
+        id: ProcessId,
+        catch_up: bool,
+    ) -> io::Result<()> {
         assert!(
             self.handles.get(&id).is_none_or(|h| h.is_none()),
             "replica {id} is still running; kill it before restarting"
@@ -425,11 +410,11 @@ impl Cluster {
     /// the served executed base (whose marker carries the view) or in the
     /// replayed message tail. The joiners arrive as non-voting learners;
     /// the joint window auto-finalizes once they are connected and drained.
-    pub async fn add_replicas<P>(&mut self, count: usize, f: usize) -> io::Result<Vec<ProcessId>>
-    where
-        P: Protocol + Send + 'static,
-        P::Message: Serialize + Deserialize + Send + 'static,
-    {
+    pub async fn add_replicas<P: Protocol>(
+        &mut self,
+        count: usize,
+        f: usize,
+    ) -> io::Result<Vec<ProcessId>> {
         let mut new_ids = Vec::with_capacity(count);
         let mut listeners = Vec::with_capacity(count);
         let next = self.dirs.keys().copied().max().unwrap_or(0) + 1;
@@ -461,11 +446,7 @@ impl Cluster {
     }
 
     /// Expands the cluster by one replica (failure budget unchanged).
-    pub async fn add_replica<P>(&mut self) -> io::Result<ProcessId>
-    where
-        P: Protocol + Send + 'static,
-        P::Message: Serialize + Deserialize + Send + 'static,
-    {
+    pub async fn add_replica<P: Protocol>(&mut self) -> io::Result<ProcessId> {
         let f = self.f;
         Ok(self.add_replicas::<P>(1, f).await?[0])
     }
@@ -475,11 +456,7 @@ impl Cluster {
     /// replacement, which bootstraps from the survivors. Once the window
     /// finalizes, the survivors stop keying the GC horizon on the dead
     /// replica's reports — the compaction horizon advances again.
-    pub async fn swap_replica<P>(&mut self, dead: ProcessId) -> io::Result<ProcessId>
-    where
-        P: Protocol + Send + 'static,
-        P::Message: Serialize + Deserialize + Send + 'static,
-    {
+    pub async fn swap_replica<P: Protocol>(&mut self, dead: ProcessId) -> io::Result<ProcessId> {
         assert!(
             self.handles.get(&dead).is_none_or(|h| h.is_none()),
             "replica {dead} is still running; kill it before swapping it out"

@@ -11,18 +11,17 @@
 //!   incarnation reached — including the dots it assigned, the dependencies
 //!   it reported and the promises it made to peers;
 //! * every `snapshot_every` records the replica serializes a
-//!   [`ReplicaSnapshot`] — the protocol's
-//!   [`save_state`](atlas_core::Protocol::save_state), the key–value store
-//!   and the execution record — and truncates the journal prefix the
-//!   snapshot covers, so replay work and disk usage stay bounded.
+//!   [`ReplicaSnapshot`] — the whole protocol state ([`save_protocol`]),
+//!   the key–value store and the execution record — and truncates the
+//!   journal prefix the snapshot covers, so replay work and disk usage stay
+//!   bounded.
 //!
-//! Recovery is then: load the latest snapshot (if any), restore the
-//! protocol with [`restore_state`](atlas_core::Protocol::restore_state),
-//! and replay the journal suffix. A replica whose data directory was wiped
-//! additionally performs peer-assisted catch-up (see
-//! [`crate::replica`]).
+//! Recovery is then: load the latest snapshot (if any), rebuild the
+//! protocol with [`restore_protocol`], and replay the journal suffix. A
+//! replica whose data directory was wiped additionally performs
+//! peer-assisted catch-up (see [`crate::replica`]).
 
-use atlas_core::{ClusterView, Command, Dot, ProcessId, Rifl};
+use atlas_core::{ClusterView, Command, Config, Dot, ProcessId, Protocol, Rifl};
 use atlas_log::{FlushPolicy, SnapshotStore, Wal};
 use kvstore::KVStore;
 use serde::{Deserialize, Serialize};
@@ -47,14 +46,14 @@ pub enum JournalRecord {
     },
     /// During catch-up, peers reported having seen this replica's
     /// identifiers up to `past`
-    /// ([`Protocol::advance_identifiers`](atlas_core::Protocol::advance_identifiers)).
+    /// ([`Protocol::advance_identifiers`]).
     /// Journaled so the advance survives a second crash.
     Advance {
         /// Horizon below which identifiers must never be reissued.
         past: u64,
     },
     /// The failure detector suspected `peer` and the replica dispatched
-    /// [`Protocol::suspect`](atlas_core::Protocol::suspect). Journaled
+    /// [`Protocol::suspect`]. Journaled
     /// because suspicion is a protocol *input* like any other: it can mint
     /// recovery ballots (promises this replica makes as a recovery
     /// coordinator), and replaying the subsequent peer messages without it
@@ -64,7 +63,7 @@ pub enum JournalRecord {
         peer: ProcessId,
     },
     /// A garbage-collection round ran:
-    /// [`Protocol::gc_executed`](atlas_core::Protocol::gc_executed) was
+    /// [`Protocol::gc_executed`] was
     /// called with this all-executed horizon. Journaled so replay
     /// reconstructs the exact post-GC state — the compaction floor changes
     /// which straggler messages the protocol ignores, and replaying the
@@ -95,7 +94,7 @@ pub enum JournalRecord {
 /// journal suffix is equivalent to replaying the full journal.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ReplicaSnapshot {
-    /// [`Protocol::save_state`](atlas_core::Protocol::save_state) bytes.
+    /// The protocol state, as encoded by [`save_protocol`].
     pub protocol: Vec<u8>,
     /// The replicated key–value store, always in **flat** (merged) form —
     /// never per-shard parts. A replica running the sharded executor pool
@@ -110,6 +109,26 @@ pub struct ReplicaSnapshot {
     pub view: ClusterView,
     /// Address of every process in `view` (current and outgoing members).
     pub addrs: Vec<(ProcessId, String)>,
+}
+
+/// Serializes a protocol replica's complete state for a snapshot. Every
+/// protocol is a deterministic state machine whose fields all round-trip
+/// through serde, so the state *is* the snapshot: [`restore_protocol`]
+/// rebuilds an equivalent replica from these bytes.
+pub fn save_protocol<P: Protocol>(protocol: &P) -> Vec<u8> {
+    bincode::serialize(protocol).expect("protocol state always encodes")
+}
+
+/// Rebuilds a replica from [`save_protocol`] bytes. Returns `None` if the
+/// bytes do not decode or belong to another replica — the caller must treat
+/// that as corruption, not as an empty state. The state must carry identifier
+/// `id`, and at epoch 0 it must also carry the boot configuration `config`.
+/// Past epoch 0 the snapshot's own view is authoritative: a reconfiguration
+/// replaced the boot configuration, which is all the caller can know.
+pub fn restore_protocol<P: Protocol>(id: ProcessId, config: Config, bytes: &[u8]) -> Option<P> {
+    let protocol: P = bincode::deserialize(bytes).ok()?;
+    (protocol.id() == id && (protocol.view().epoch > 0 || protocol.config() == config))
+        .then_some(protocol)
 }
 
 /// The open durable state of a running replica.

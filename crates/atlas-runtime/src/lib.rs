@@ -25,8 +25,8 @@
 //!
 //! Inbound, the runtime turns every network event back into protocol inputs:
 //! peer frames become `handle` calls, client `Submit` frames become `submit`
-//! calls, and a timer turns wall-clock time into periodic `tick` calls.
-//! Time is passed to the protocol as microseconds since replica start, so
+//! calls, and a timer drives the runtime's own periodic work (acks,
+//! heartbeats, failure detection, GC). Time is passed to the protocol as microseconds since replica start, so
 //! protocol-side latency metrics keep working unchanged.
 //!
 //! ## Durability and crash recovery
@@ -34,8 +34,8 @@
 //! With [`ReplicaConfig::data_dir`](replica::ReplicaConfig) set, a replica
 //! journals every protocol input (client submissions, peer messages) to a
 //! write-ahead log **before** processing it, and periodically checkpoints
-//! its full state — [`Protocol::save_state`](atlas_core::Protocol), the
-//! KVS, the execution record — truncating the journal prefix the snapshot
+//! its full state — the serialized protocol
+//! ([`journal::save_protocol`]), the KVS, the execution record — truncating the journal prefix the snapshot
 //! covers. A crashed replica restarted **under the same identifier** first
 //! restores the snapshot, then replays the journal suffix (protocols are
 //! deterministic state machines, so replay reconstructs exactly the state

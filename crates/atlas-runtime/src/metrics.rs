@@ -8,10 +8,11 @@
 //! `fetch_add`s, cheap enough to stay enabled unconditionally.
 //!
 //! The registry holds what the *runtime* measures. Protocol-level counters
-//! (fast/slow paths, recoveries) live inside the hosted protocol and are
-//! digested via
-//! [`Protocol::protocol_stats`](atlas_core::Protocol::protocol_stats) when
-//! a [`MetricsSnapshot`](atlas_metrics::MetricsSnapshot) is assembled in
+//! and moments (fast/slow paths, recoveries, commit-to-execute delays) live
+//! inside the hosted protocol as a constant-size
+//! [`ProtocolMetrics`](atlas_core::ProtocolMetrics), copied whole from
+//! [`Protocol::metrics`](atlas_core::Protocol::metrics) when a
+//! [`MetricsSnapshot`](atlas_metrics::MetricsSnapshot) is assembled in
 //! [`crate::replica`].
 
 use atlas_metrics::{

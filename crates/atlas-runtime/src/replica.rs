@@ -18,8 +18,8 @@
 //!   session's replies;
 //! * one **writer task per outbound peer link** (see [`crate::transport`]);
 //! * a **ticker** emitting tick events at a fixed cadence, which the event
-//!   loop forwards to [`Protocol::tick`] as periodic events (and uses to
-//!   flush pending delivery acks).
+//!   loop uses to flush pending delivery acks, heartbeat links, advance the
+//!   failure detector and pace garbage collection.
 //!
 //! ## Durability and crash recovery
 //!
@@ -85,7 +85,7 @@
 
 use crate::detector::{DetectorEvent, FailureDetector};
 use crate::executor::{ExecCtx, ExecutorPool};
-use crate::journal::{Journal, JournalRecord, ReplicaSnapshot};
+use crate::journal::{restore_protocol, save_protocol, Journal, JournalRecord, ReplicaSnapshot};
 use crate::metrics::ReplicaMetrics;
 use crate::netem::NetProfile;
 use crate::transport::{PeerLink, DEFAULT_RESEND_BUFFER_CAP};
@@ -100,7 +100,7 @@ use atlas_core::{
 };
 use atlas_log::FlushPolicy;
 use atlas_metrics::MetricsSnapshot;
-use serde::{Deserialize, Serialize};
+use serde::Deserialize;
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::SocketAddr;
@@ -162,7 +162,8 @@ pub struct ReplicaConfig {
     pub config: Config,
     /// Listen/dial addresses of **all** replicas, own id included.
     pub addrs: HashMap<ProcessId, SocketAddr>,
-    /// Cadence of [`Protocol::tick`] periodic events.
+    /// Cadence of the periodic tick (ack flushing, heartbeats, failure
+    /// detection, GC pacing).
     pub tick_interval: Duration,
     /// Where to keep the durable journal and snapshots. `None` runs the
     /// replica ephemeral (crash = state loss), the pre-durability behaviour.
@@ -390,11 +391,7 @@ impl ReplicaHandle {
 }
 
 /// Binds `cfg`'s own address and spawns the replica on it.
-pub async fn spawn<P>(cfg: ReplicaConfig) -> io::Result<ReplicaHandle>
-where
-    P: Protocol + Send + 'static,
-    P::Message: Serialize + Deserialize + Send + 'static,
-{
+pub async fn spawn<P: Protocol>(cfg: ReplicaConfig) -> io::Result<ReplicaHandle> {
     let addr = cfg.addrs[&cfg.id];
     let listener = TcpListener::bind(addr).await?;
     spawn_on_listener::<P>(cfg, listener)
@@ -407,11 +404,10 @@ where
 /// latest snapshot restored and the journal suffix replayed — *before* this
 /// returns; an unreadable or corrupt journal fails loudly here rather than
 /// booting an amnesiac replica.
-pub fn spawn_on_listener<P>(cfg: ReplicaConfig, listener: TcpListener) -> io::Result<ReplicaHandle>
-where
-    P: Protocol + Send + 'static,
-    P::Message: Serialize + Deserialize + Send + 'static,
-{
+pub fn spawn_on_listener<P: Protocol>(
+    cfg: ReplicaConfig,
+    listener: TcpListener,
+) -> io::Result<ReplicaHandle> {
     let addr = listener.local_addr()?;
     let id = cfg.id;
     let n = cfg.config.n;
@@ -776,11 +772,7 @@ fn stage_us(t0: u64, t1: u64) -> u64 {
     t1.saturating_sub(t0).max(1)
 }
 
-impl<P> Core<P>
-where
-    P: Protocol,
-    P::Message: Serialize + Deserialize,
-{
+impl<P: Protocol> Core<P> {
     /// Builds the replica state, restoring snapshot + journal when a data
     /// directory is configured. Replay re-performs the actions the inputs
     /// produce — outbound sends included, which doubles as at-least-once
@@ -827,7 +819,7 @@ where
         let exec = ExecutorPool::new(cfg.shards, Arc::clone(&metrics), start);
         let mut core = Self {
             id: cfg.id,
-            protocol: P::new(cfg.id, config, topology.clone()),
+            protocol: P::new(cfg.id, config, topology),
             links,
             exec,
             log: Vec::new(),
@@ -868,8 +860,8 @@ where
         let (journal, snapshot, records) =
             Journal::open(dir, cfg.flush_policy, cfg.snapshot_every)?;
         if let Some(snapshot) = snapshot {
-            core.protocol = P::restore_state(cfg.id, config, topology, &snapshot.protocol)
-                .ok_or_else(|| {
+            core.protocol =
+                restore_protocol(cfg.id, config, &snapshot.protocol).ok_or_else(|| {
                     corrupt(format!("replica {}: snapshot failed to restore", cfg.id))
                 })?;
             core.exec.install_flat(snapshot.store);
@@ -1120,16 +1112,13 @@ where
         Ok(())
     }
 
-    /// Periodic tick: forward to the protocol, flush pending acks, probe
-    /// (heartbeat) every outbound link, advance the failure detector —
+    /// Periodic tick: flush pending acks, probe (heartbeat) every outbound
+    /// link, advance the failure detector —
     /// suspicions it reports are journaled and dispatched to
     /// [`Protocol::suspect`] right here, through the same action pipeline
     /// as every other protocol input — and, on the GC cadence, exchange
     /// executed watermarks and run a garbage-collection round.
     fn tick(&mut self) -> io::Result<()> {
-        let now = self.now();
-        let actions = self.protocol.tick(now);
-        self.perform(actions, now);
         self.ticks += 1;
         // Sessions whose reply channel an executor thread found closed are
         // reported back here and dropped on the protocol thread, which owns
@@ -1318,38 +1307,34 @@ where
         self.exec.drain();
         let store = self.exec.flat_store();
         let budget = self.catch_up_chunk_bytes;
-        let executed = self.protocol.save_executed();
-        let base = executed.is_some();
         let mut stream = ChunkStream {
             frames: Vec::new(),
             held: None,
         };
         stream.push(CatchUpPayload::Start {
             horizon: self.protocol.seen_horizon(from),
-            executed,
-            store_executed: if base { store.executed() } else { 0 },
+            executed: self.protocol.save_executed(),
+            store_executed: store.executed(),
             view: self.view.clone(),
             addrs: self.addrs_wire(),
         });
-        if base {
-            // Fixed-size records: chunk by count against the byte budget,
-            // batching straight off the iterators (no full intermediate
-            // copy of the store).
-            let per_store = (budget / 24).max(1);
-            let mut batch: Vec<(Key, Value)> = Vec::with_capacity(per_store);
-            for record in store.records() {
-                batch.push(record);
-                if batch.len() == per_store {
-                    stream.push(CatchUpPayload::Store(std::mem::take(&mut batch)));
-                }
+        // Fixed-size records: chunk by count against the byte budget,
+        // batching straight off the iterators (no full intermediate copy of
+        // the store).
+        let per_store = (budget / 24).max(1);
+        let mut batch: Vec<(Key, Value)> = Vec::with_capacity(per_store);
+        for record in store.records() {
+            batch.push(record);
+            if batch.len() == per_store {
+                stream.push(CatchUpPayload::Store(std::mem::take(&mut batch)));
             }
-            if !batch.is_empty() {
-                stream.push(CatchUpPayload::Store(batch));
-            }
-            let per_log = (budget / 40).max(1);
-            for slice in self.log.chunks(per_log) {
-                stream.push(CatchUpPayload::Log(slice.to_vec()));
-            }
+        }
+        if !batch.is_empty() {
+            stream.push(CatchUpPayload::Store(batch));
+        }
+        let per_log = (budget / 40).max(1);
+        for slice in self.log.chunks(per_log) {
+            stream.push(CatchUpPayload::Log(slice.to_vec()));
         }
         // Messages vary in size: pack by actual encoded bytes.
         let mut group: Vec<Vec<u8>> = Vec::new();
@@ -1370,35 +1355,23 @@ where
     }
 
     /// Applies one `Msgs` chunk of a peer's catch-up stream through the
-    /// message path.
+    /// protocol.
     ///
-    /// With `journal_msgs` false (a snapshot-capable protocol), the bulk
-    /// messages are *not* journaled — `catch_up_from_peers` snapshots once
-    /// when the whole catch-up completes, instead of writing up to `n-1`
-    /// copies of the cluster history through the write-ahead path. A crash
-    /// before that snapshot only loses un-journaled catch-up progress, which
-    /// restarting with catch-up enabled (the documented flow for a wiped
-    /// replica: rerun the same command line) simply redoes.
-    fn apply_catch_up_msgs(
-        &mut self,
-        peer: ProcessId,
-        msgs: Vec<Vec<u8>>,
-        journal_msgs: bool,
-    ) -> io::Result<()> {
+    /// The bulk messages are *not* journaled — `catch_up_from_peers`
+    /// snapshots once when the whole catch-up completes, instead of writing
+    /// up to `n-1` copies of the cluster history through the write-ahead
+    /// path. A crash before that snapshot only loses un-journaled catch-up
+    /// progress, which restarting with catch-up enabled (the documented
+    /// flow for a wiped replica: rerun the same command line) simply redoes.
+    fn apply_catch_up_msgs(&mut self, peer: ProcessId, msgs: Vec<Vec<u8>>) {
         for payload in msgs {
             let Ok(msg) = bincode::deserialize::<P::Message>(&payload) else {
                 continue; // peer speaking another protocol version
             };
-            if journal_msgs {
-                let epoch = self.view.epoch;
-                self.peer_msg(peer, 0, epoch, payload, msg)?;
-            } else {
-                let now = self.now();
-                let actions = self.protocol.handle(peer, msg, now);
-                self.perform(actions, now);
-            }
+            let now = self.now();
+            let actions = self.protocol.handle(peer, msg, now);
+            self.perform(actions, now);
         }
-        Ok(())
     }
 
     /// Answers an execution-record query. The digest drains the executor
@@ -1444,7 +1417,7 @@ where
             protocol: P::name().to_string(),
             uptime_us: self.now(),
             lifecycle: self.metrics.lifecycle_stats(),
-            protocol_stats: self.protocol.protocol_stats(),
+            protocol_stats: *self.protocol.metrics(),
             durability: self
                 .metrics
                 .durability_stats(self.journal.as_ref().map_or(0, |j| j.wal_segments() as u64)),
@@ -1459,8 +1432,7 @@ where
         }
     }
 
-    /// Snapshots and truncates the journal when due (and supported by the
-    /// protocol — a protocol without `save_state` keeps the full journal).
+    /// Snapshots and truncates the journal when due.
     fn maybe_snapshot(&mut self) -> io::Result<()> {
         match &self.journal {
             Some(journal) if journal.snapshot_due() => self.snapshot_now(),
@@ -1469,16 +1441,16 @@ where
     }
 
     /// Snapshots and truncates the journal unconditionally (no-op without a
-    /// journal or for a protocol that does not support `save_state`).
+    /// journal).
     fn snapshot_now(&mut self) -> io::Result<()> {
-        let Some(protocol) = self.protocol.save_state() else {
+        if self.journal.is_none() {
             return Ok(());
-        };
+        }
         // Snapshots always store the *flat* (merged) KVS, never per-shard
         // parts: the on-disk format stays shard-count independent, so a
         // replica may restart with a different `--shards` and re-split.
         let snapshot = ReplicaSnapshot {
-            protocol,
+            protocol: save_protocol(&self.protocol),
             store: self.exec.flat_store(),
             log: self.log.clone(),
             view: self.view.clone(),
@@ -1642,7 +1614,7 @@ where
 
     /// An executed `Reconfigure` barrier — the **only** place the hosted
     /// protocol's membership moves. The target is derived from the
-    /// protocol's own view ([`Protocol::cluster_view`]), not the runtime's:
+    /// protocol's own view ([`Protocol::view`]), not the runtime's:
     /// epoch announcements can race the log and push the runtime view
     /// ahead, but the protocol must walk the exact joint-then-final
     /// progression the barrier sequence spells out (Mencius derives its
@@ -1654,9 +1626,6 @@ where
         local: &mut VecDeque<(ProcessId, P::Message)>,
         now: u64,
     ) {
-        let Some(current) = self.protocol.cluster_view() else {
-            return; // protocol without reconfiguration support
-        };
         let next = match op {
             ReconfigOp::Enter { members, f } => {
                 for (id, addr) in members {
@@ -1665,9 +1634,9 @@ where
                     }
                 }
                 let ids: Vec<ProcessId> = members.iter().map(|&(id, _)| id).collect();
-                current.enter(&ids, *f)
+                self.protocol.view().enter(&ids, *f)
             }
-            ReconfigOp::Finalize => current.finalize(),
+            ReconfigOp::Finalize => self.protocol.view().finalize(),
         };
         let Some(next) = next else {
             return; // idempotent replay of an already-applied barrier
@@ -1731,7 +1700,7 @@ where
             return Ok(());
         }
         // The protocol itself must have executed the `Enter` barrier.
-        if self.protocol.epoch() < self.view.epoch {
+        if self.protocol.view().epoch < self.view.epoch {
             return Ok(());
         }
         for &peer in &self.view.members {
@@ -1912,11 +1881,7 @@ impl PendingBase {
     /// is the `--catch-up`-with-surviving-data-dir flow: fall back to full
     /// committed-log replay on top — complete as long as the peers never
     /// collected, which the loud warning spells out.
-    fn install<P>(self, core: &mut Core<P>, base_installed: &mut bool) -> io::Result<()>
-    where
-        P: Protocol,
-        P::Message: Serialize + Deserialize,
-    {
+    fn install<P: Protocol>(self, core: &mut Core<P>, base_installed: &mut bool) -> io::Result<()> {
         if *base_installed {
             return Ok(());
         }
@@ -1958,17 +1923,12 @@ impl PendingBase {
 /// On a mid-stream error everything already applied stays (identifier
 /// advances are monotone, message application is idempotent, and the base
 /// installs atomically), so the caller simply retries the peer later.
-async fn fetch_catch_up<P>(
+async fn fetch_catch_up<P: Protocol>(
     core: &mut Core<P>,
     peer: ProcessId,
     addr: SocketAddr,
-    journal_msgs: bool,
     base_installed: &mut bool,
-) -> io::Result<()>
-where
-    P: Protocol,
-    P::Message: Serialize + Deserialize,
-{
+) -> io::Result<()> {
     let timed = |label: &'static str| {
         move |e: tokio::time::error::Elapsed| {
             let _ = e;
@@ -2026,15 +1986,13 @@ where
                     core.journal_append(&JournalRecord::Advance { past: horizon })?;
                     core.protocol.advance_identifiers(horizon);
                 }
-                if let Some(marker) = executed {
-                    if !*base_installed {
-                        pending = Some(PendingBase {
-                            marker,
-                            store_executed,
-                            records: Vec::new(),
-                            log: Vec::new(),
-                        });
-                    }
+                if !*base_installed {
+                    pending = Some(PendingBase {
+                        marker: executed,
+                        store_executed,
+                        records: Vec::new(),
+                        log: Vec::new(),
+                    });
                 }
             }
             CatchUpPayload::Store(records) => {
@@ -2051,7 +2009,7 @@ where
                 if let Some(base) = pending.take() {
                     base.install(core, base_installed)?;
                 }
-                core.apply_catch_up_msgs(peer, msgs, journal_msgs)?;
+                core.apply_catch_up_msgs(peer, msgs);
             }
         }
         if chunk.last {
@@ -2074,23 +2032,16 @@ where
 /// it got (they may be crashed for good, and waiting forever would trade a
 /// narrow unsoundness window for guaranteed unavailability) and says so
 /// loudly. If *no* peer ever answers this is a fresh cluster boot.
-async fn catch_up_from_peers<P>(
+async fn catch_up_from_peers<P: Protocol>(
     core: &mut Core<P>,
     addrs: &HashMap<ProcessId, SocketAddr>,
-) -> io::Result<()>
-where
-    P: Protocol,
-    P::Message: Serialize + Deserialize,
-{
+) -> io::Result<()> {
     let mut pending: Vec<(ProcessId, SocketAddr)> = addrs
         .iter()
         .filter(|(&peer, _)| peer != core.id)
         .map(|(&peer, &addr)| (peer, addr))
         .collect();
     pending.sort_unstable_by_key(|(peer, _)| *peer);
-    // Snapshot-capable protocols get the bulk messages un-journaled plus one
-    // snapshot at the end; others fall back to journaling every message.
-    let journal_msgs = core.protocol.save_state().is_none();
     // At most one peer's executed-state base is installed (the first whose
     // stream reaches its message tail); every other stream contributes only
     // messages on top. One base plus every peer's retained committed log is
@@ -2103,7 +2054,7 @@ where
     for round in 0..CATCH_UP_ROUNDS {
         let mut still_pending = Vec::new();
         for &(peer, addr) in &pending {
-            match fetch_catch_up(core, peer, addr, journal_msgs, &mut base_installed).await {
+            match fetch_catch_up(core, peer, addr, &mut base_installed).await {
                 Ok(()) => heard_from_any = true,
                 Err(_) => still_pending.push((peer, addr)),
             }
@@ -2136,16 +2087,13 @@ where
 /// (journal failure, catch-up IO failure) it tears the whole replica down
 /// via `fatal_stop` — exiting alone would leave a zombie whose acceptor
 /// keeps accepting connections that nobody will ever answer.
-async fn event_loop<P>(
+async fn event_loop<P: Protocol>(
     mut core: Core<P>,
     mut events: UnboundedReceiver<Event<P::Message>>,
     catch_up_addrs: Option<HashMap<ProcessId, SocketAddr>>,
     stop: Arc<AtomicBool>,
     addr: SocketAddr,
-) where
-    P: Protocol,
-    P::Message: Serialize + Deserialize,
-{
+) {
     let fatal_stop = |id: ProcessId, what: &str, e: io::Error| {
         // A replica that cannot journal must not keep acknowledging inputs
         // it would forget after a crash: stop serving instead. Same

@@ -157,13 +157,10 @@ pub enum CatchUpPayload {
         /// reissue identifiers at or below it.
         horizon: u64,
         /// The serving protocol's [`executed
-        /// marker`](atlas_core::Protocol::save_executed), when supported:
-        /// which identifiers the transferred store already reflects.
-        /// `None` means no base follows — the stream is a plain committed
-        /// log, complete only while the server never garbage-collected.
-        executed: Option<Vec<u8>>,
-        /// The serving store's executed-command counter (meaningful only
-        /// with an executed marker).
+        /// marker`](atlas_core::Protocol::save_executed): which identifiers
+        /// the transferred store already reflects.
+        executed: Vec<u8>,
+        /// The serving store's executed-command counter.
         store_executed: u64,
         /// The serving replica's runtime configuration view, so a joiner
         /// bootstrapping into a reconfigured cluster learns the current
@@ -616,7 +613,7 @@ mod tests {
                 last: false,
                 payload: CatchUpPayload::Start {
                     horizon: 42,
-                    executed: Some(vec![1, 2, 3]),
+                    executed: vec![1, 2, 3],
                     store_executed: 17,
                     view: atlas_core::ClusterView::initial(Config::new(3, 1)),
                     addrs: vec![(1, "127.0.0.1:7001".to_string())],

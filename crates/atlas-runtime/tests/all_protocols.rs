@@ -3,13 +3,8 @@
 
 use atlas_core::{Config, Protocol};
 use atlas_runtime::{Client, Cluster};
-use serde::{Deserialize, Serialize};
 
-fn exercise<P>(config: Config)
-where
-    P: Protocol + Send + 'static,
-    P::Message: Serialize + Deserialize + Send + 'static,
-{
+fn exercise<P: Protocol>(config: Config) {
     let rt = tokio::runtime::Runtime::new().unwrap();
     rt.block_on(async {
         let cluster = Cluster::spawn::<P>(config).await.expect("cluster boots");

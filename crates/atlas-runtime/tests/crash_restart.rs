@@ -13,7 +13,6 @@
 use atlas_core::{ClientId, Config, Dot, Key, ProcessId, Protocol, Rifl};
 use atlas_protocol::Atlas;
 use atlas_runtime::{Client, Cluster, ClusterOptions};
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use std::time::{Duration, Instant};
 
@@ -246,11 +245,7 @@ fn restart_restores_snapshot_plus_journal_suffix() {
 /// Kill + restart smoke for every hosted protocol (no traffic while the
 /// replica is down: Mencius needs acks from all replicas, so its commands
 /// would stall until the restart anyway).
-fn restart_smoke<P>()
-where
-    P: Protocol + Send + 'static,
-    P::Message: Serialize + Deserialize + Send + 'static,
-{
+fn restart_smoke<P: Protocol>() {
     let rt = tokio::runtime::Runtime::new().unwrap();
     rt.block_on(async {
         let mut cluster = Cluster::spawn::<P>(Config::new(REPLICAS, 1))

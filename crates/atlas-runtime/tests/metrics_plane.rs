@@ -11,7 +11,6 @@ use atlas_core::{ClientId, Config, Key, ProcessId, Protocol};
 use atlas_metrics::MetricsSnapshot;
 use atlas_protocol::Atlas;
 use atlas_runtime::{Client, Cluster, ClusterOptions, LinkRule, NetProfile, OpenLoopClient};
-use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
 const REPLICAS: usize = 3;
@@ -72,11 +71,7 @@ async fn run_writes(
 /// the percentile monotonicity survive concurrent executors: the snapshot
 /// path drains the pool first, and commit stamps (protocol thread) always
 /// precede execute stamps (executor thread) on the shared clock.
-fn lifecycle_invariants<P>(shards: usize)
-where
-    P: Protocol + Send + 'static,
-    P::Message: Serialize + Deserialize + Send + 'static,
-{
+fn lifecycle_invariants<P: Protocol>(shards: usize) {
     const OPS: u64 = 500;
     const TOTAL: u64 = 2 * OPS;
     let options = ClusterOptions {

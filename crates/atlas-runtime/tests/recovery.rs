@@ -21,7 +21,6 @@
 use atlas_core::{ClientId, Command, Config, Dot, Key, ProcessId, Protocol, Rifl};
 use atlas_protocol::Atlas;
 use atlas_runtime::{Client, Cluster, ClusterOptions, OpenLoopClient};
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use std::time::{Duration, Instant};
 
@@ -134,11 +133,7 @@ fn assert_same_conflict_order(logs: &[(Vec<(Dot, Rifl)>, u64)], key_of: &HashMap
 /// the dead replica's acknowledgement (and the log has holes at its
 /// slots), for FPaxos (victim = the leader, with clients proxied through
 /// the survivors) every command funnels through the corpse.
-fn killed_coordinator_drill<P>(victim: ProcessId)
-where
-    P: Protocol + Send + 'static,
-    P::Message: Serialize + Deserialize + Send + 'static,
-{
+fn killed_coordinator_drill<P: Protocol>(victim: ProcessId) {
     const PHASE_A: u64 = 150;
     const BURST: u64 = 100;
     const PHASE_B: u64 = 350;
@@ -251,11 +246,7 @@ fn killed_leader_recovers_fpaxos() {
 /// replica's acknowledgement); for EPaxos the survivors' conflicting
 /// commands wait on the dead coordinator's in-flight instances, so the
 /// kill is timed right after the burst demonstrably started propagating.
-fn killed_coordinator_stalls_without_recovery<P>()
-where
-    P: Protocol + Send + 'static,
-    P::Message: Serialize + Deserialize + Send + 'static,
-{
+fn killed_coordinator_stalls_without_recovery<P: Protocol>() {
     const PHASE_A: u64 = 30;
     const BURST: u64 = 600;
     // Killing "mid-burst" races the burst's propagation; if the whole burst
@@ -349,11 +340,7 @@ fn mencius_stalls_without_recovery() {
 /// fire at the survivors) and then restarted from its journal is trusted
 /// again and reconverges to identical digests — for every hosted protocol,
 /// including the ones whose `suspect` is a documented no-op.
-fn suspected_then_restarted_reconverges<P>()
-where
-    P: Protocol + Send + 'static,
-    P::Message: Serialize + Deserialize + Send + 'static,
-{
+fn suspected_then_restarted_reconverges<P: Protocol>() {
     let rt = tokio::runtime::Runtime::new().unwrap();
     rt.block_on(async {
         let mut cluster = Cluster::spawn_with::<P>(Config::new(REPLICAS, 1), drill_options())

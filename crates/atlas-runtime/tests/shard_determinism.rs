@@ -21,7 +21,6 @@ use atlas_core::{Config, Dot, Key, KvOp, ProcessId, Protocol, Rifl};
 use atlas_protocol::Atlas;
 use atlas_runtime::{Client, Cluster, ClusterOptions};
 use kvstore::Output;
-use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
 const REPLICAS: usize = 3;
@@ -83,11 +82,7 @@ struct RunResult {
 /// Drives the seeded workload through a fresh `shards`-configured cluster
 /// of `P`, one command in flight at a time (deterministic protocol order),
 /// and collects the run's observable behaviour.
-fn run_cluster<P>(shards: usize) -> RunResult
-where
-    P: Protocol + Send + 'static,
-    P::Message: Serialize + Deserialize + Send + 'static,
-{
+fn run_cluster<P: Protocol>(shards: usize) -> RunResult {
     let rt = tokio::runtime::Runtime::new().unwrap();
     rt.block_on(async {
         let options = ClusterOptions::default().with_shards(shards);
@@ -158,11 +153,7 @@ where
 
 /// The oracle: a `shards = 1` and a `shards = 8` run of the same seeded
 /// workload must be indistinguishable.
-fn oracle<P>()
-where
-    P: Protocol + Send + 'static,
-    P::Message: Serialize + Deserialize + Send + 'static,
-{
+fn oracle<P: Protocol>() {
     let flat = run_cluster::<P>(1);
     let sharded = run_cluster::<P>(8);
     assert_eq!(

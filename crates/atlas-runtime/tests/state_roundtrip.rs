@@ -1,7 +1,9 @@
 //! Protocol-level tests of the durability hooks, for all four protocols:
 //!
-//! * `save_state` → `restore_state` is an exact round trip (byte-identical
-//!   re-serialization) and the restored replica keeps working;
+//! * `save_protocol` → `restore_protocol` is an exact round trip
+//!   (byte-identical re-serialization), and restore rejects corrupted
+//!   bytes, a foreign identifier and — at epoch 0 only — a different boot
+//!   configuration;
 //! * restoring a mid-run snapshot and replaying the input suffix yields the
 //!   **same state bytes** as replaying the full input history — the
 //!   correctness condition behind journal truncation;
@@ -11,9 +13,12 @@
 //!   entries on the all-executed horizon mid-run executes **exactly** the
 //!   same command sequence (hence identical digests and per-key order) as
 //!   a never-collected twin, keeps strictly less bookkeeping, ignores
-//!   straggler duplicates of collected commits, and GC is idempotent.
+//!   straggler duplicates of collected commits, and GC is idempotent;
+//! * state stays bounded: once GC has collected every entry, the encoded
+//!   protocol state does not grow with the number of commands processed.
 
-use atlas_core::{Action, Command, Config, Dot, ProcessId, Protocol, Rifl, Topology};
+use atlas_core::{Action, ClusterView, Command, Config, Dot, ProcessId, Protocol, Rifl, Topology};
+use atlas_runtime::journal::{restore_protocol, save_protocol};
 use kvstore::KVStore;
 use std::collections::HashMap;
 
@@ -136,15 +141,14 @@ fn save_restore_roundtrip<P: Protocol>()
 where
     P::Message: Clone,
 {
-    let net = drive::<P>(10);
+    let mut net = drive::<P>(10);
     let config = Config::new(3, 1);
     for replica in &net.replicas {
         let id = replica.id();
-        let bytes = replica.save_state().expect("protocol supports snapshots");
-        let restored = P::restore_state(id, config, Topology::identity(id, 3), &bytes)
-            .expect("state restores");
+        let bytes = save_protocol(replica);
+        let restored = restore_protocol::<P>(id, config, &bytes).expect("state restores");
         assert_eq!(
-            restored.save_state().expect("restored state re-serializes"),
+            save_protocol(&restored),
             bytes,
             "{}: restore(save(s)) must reproduce s exactly (replica {id})",
             P::name()
@@ -153,18 +157,44 @@ where
         let mut corrupted = bytes.clone();
         corrupted.truncate(corrupted.len() / 2);
         assert!(
-            P::restore_state(id, config, Topology::identity(id, 3), &corrupted).is_none(),
+            restore_protocol::<P>(id, config, &corrupted).is_none(),
             "{}: truncated state must fail to restore",
             P::name()
         );
         // State from one replica must not restore under another identifier.
         let wrong_id = id % 3 + 1;
         assert!(
-            P::restore_state(wrong_id, config, Topology::identity(wrong_id, 3), &bytes).is_none(),
+            restore_protocol::<P>(wrong_id, config, &bytes).is_none(),
             "{}: replica {id} state must not restore as replica {wrong_id}",
             P::name()
         );
+        // At epoch 0 the boot configuration must match exactly, down to the
+        // optimization switches.
+        for other in [
+            config.with_nfr(!config.nfr),
+            config.with_slow_path_pruning(!config.slow_path_pruning),
+        ] {
+            assert!(
+                restore_protocol::<P>(id, other, &bytes).is_none(),
+                "{}: epoch-0 state must not restore under {other:?}",
+                P::name()
+            );
+        }
     }
+
+    // Past epoch 0 the state's own view is authoritative: it restores under
+    // the boot-time configuration a restarting replica still passes in.
+    let joint = ClusterView::initial(config)
+        .enter(&[1, 2, 3, 4, 5], 2)
+        .expect("a new member set opens a joint epoch");
+    let replica = &mut net.replicas[0];
+    let _ = replica.reconfigure(&joint, 0);
+    assert_eq!(replica.view().epoch, 1);
+    let bytes = save_protocol(&*replica);
+    let restored = restore_protocol::<P>(1, config, &bytes)
+        .unwrap_or_else(|| panic!("{}: reconfigured state must restore", P::name()));
+    assert_eq!(restored.view(), &joint);
+    assert_eq!(save_protocol(&restored), bytes);
 }
 
 fn snapshot_plus_suffix_equals_full_replay<P: Protocol>()
@@ -175,24 +205,21 @@ where
     let config = Config::new(3, 1);
     for id in 1..=3u32 {
         let inputs = &net.inputs[(id - 1) as usize];
-        let live = net.replicas[(id - 1) as usize]
-            .save_state()
-            .expect("snapshots supported");
+        let live = save_protocol(&net.replicas[(id - 1) as usize]);
 
         // (a) Full replay of the input journal from scratch.
         let mut full = P::new(id, config, Topology::identity(id, 3));
         replay(&mut full, inputs);
-        let full_bytes = full.save_state().unwrap();
+        let full_bytes = save_protocol(&full);
 
         // (b) Snapshot mid-run, restore, replay only the suffix.
         let half = inputs.len() / 2;
         let mut prefix = P::new(id, config, Topology::identity(id, 3));
         replay(&mut prefix, &inputs[..half]);
-        let snapshot = prefix.save_state().unwrap();
-        let mut resumed =
-            P::restore_state(id, config, Topology::identity(id, 3), &snapshot).unwrap();
+        let snapshot = save_protocol(&prefix);
+        let mut resumed = restore_protocol::<P>(id, config, &snapshot).unwrap();
         replay(&mut resumed, &inputs[half..]);
-        let resumed_bytes = resumed.save_state().unwrap();
+        let resumed_bytes = save_protocol(&resumed);
 
         assert_eq!(
             full_bytes,
@@ -380,6 +407,63 @@ where
     }
 }
 
+/// Submits `rounds` conflicting commands per replica (3 per round), then
+/// garbage-collects on the all-executed horizon until no replica tracks an
+/// entry.
+fn run_and_collect<P: Protocol>(net: &mut Net<P>, rounds: std::ops::RangeInclusive<u64>)
+where
+    P::Message: Clone,
+{
+    for seq in rounds {
+        for coordinator in 1..=3u32 {
+            net.submit(coordinator, put(coordinator as u64, seq, seq % 4));
+        }
+    }
+    for _ in 0..3 {
+        let horizon = min_horizon(&net.replicas);
+        for replica in &mut net.replicas {
+            replica.gc_executed(&horizon);
+        }
+    }
+    for replica in &net.replicas {
+        assert_eq!(
+            replica.tracked_entries(),
+            0,
+            "{}: replica {} still tracks entries after a drained GC",
+            P::name(),
+            replica.id()
+        );
+    }
+}
+
+/// A replica whose every entry has been garbage-collected keeps only
+/// constant-size state: sixteen times the commands must not grow the
+/// encoded protocol state (the slack absorbs varint-width growth of the
+/// counters). Retained metric samples or per-batch records would.
+fn collected_state_does_not_grow<P: Protocol>()
+where
+    P::Message: Clone,
+{
+    const SLACK: usize = 256;
+    let mut net = Net::<P>::new(3, 1);
+    run_and_collect(&mut net, 1..=200); // 600 commands
+    let early: Vec<usize> = net
+        .replicas
+        .iter()
+        .map(|r| save_protocol(r).len())
+        .collect();
+    run_and_collect(&mut net, 201..=3_200); // 9,600 commands
+    for (replica, early) in net.replicas.iter().zip(early) {
+        let late = save_protocol(replica).len();
+        assert!(
+            late <= early + SLACK,
+            "{}: replica {} state grew from {early} to {late} bytes with nothing tracked",
+            P::name(),
+            replica.id()
+        );
+    }
+}
+
 macro_rules! durability_hook_tests {
     ($name:ident, $proto:ty) => {
         mod $name {
@@ -401,6 +485,11 @@ macro_rules! durability_hook_tests {
             #[test]
             fn gc_matches_never_collected_twin() {
                 super::gc_matches_never_collected_twin::<$proto>();
+            }
+
+            #[test]
+            fn collected_state_does_not_grow() {
+                super::collected_state_does_not_grow::<$proto>();
             }
         }
     };

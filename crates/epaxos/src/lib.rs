@@ -471,9 +471,11 @@ impl EPaxos {
         }
         self.key_deps.add(dot, &cmd);
         self.metrics.commits += 1;
-        self.metrics.dependency_counts.record(deps.len() as u64);
+        self.metrics.record_dependencies(deps.len());
         self.commit_times.insert(dot, time);
-        let executed = self.graph.commit(dot, cmd, deps.into_iter().collect());
+        let executed =
+            self.graph
+                .commit_recording(dot, cmd, deps.into_iter().collect(), &mut self.metrics);
         self.drain_executions(executed, time)
     }
 
@@ -487,8 +489,7 @@ impl EPaxos {
             self.metrics.executions += 1;
             if let Some(commit_time) = self.commit_times.remove(&dot) {
                 self.metrics
-                    .commit_to_execute
-                    .record(time.saturating_sub(commit_time));
+                    .record_commit_to_execute(time.saturating_sub(commit_time));
             }
             actions.push(Action::Execute { dot, cmd });
         }
@@ -756,6 +757,14 @@ impl Protocol for EPaxos {
         self.id
     }
 
+    fn config(&self) -> Config {
+        self.config
+    }
+
+    fn view(&self) -> &ClusterView {
+        &self.view
+    }
+
     fn submit(&mut self, cmd: Command, _time: Time) -> Vec<Action<Message>> {
         let dot = self.dot_gen.next_dot();
         let deps = self.key_deps.conflicts(&cmd);
@@ -812,22 +821,6 @@ impl Protocol for EPaxos {
                 ballot,
             } => self.handle_prepare_ok(from, dot, cmd, deps, quorum, accepted_ballot, ballot),
         }
-    }
-
-    fn save_state(&self) -> Option<Vec<u8>> {
-        Some(bincode::serialize(self).expect("replica state always encodes"))
-    }
-
-    fn restore_state(
-        id: ProcessId,
-        config: Config,
-        _topology: Topology,
-        state: &[u8],
-    ) -> Option<Self> {
-        let state: EPaxos = bincode::deserialize(state).ok()?;
-        // Past epoch 0 the snapshot's view carries the authoritative
-        // configuration; the caller can only know the boot-time one.
-        (state.id == id && (state.view.epoch > 0 || state.config == config)).then_some(state)
     }
 
     fn committed_log(&self) -> Vec<Message> {
@@ -891,11 +884,11 @@ impl Protocol for EPaxos {
         dropped
     }
 
-    fn save_executed(&self) -> Option<Vec<u8>> {
+    fn save_executed(&self) -> Vec<u8> {
         // The view rides along so a bootstrap base covering an executed
         // `Reconfigure` barrier still hands the joiner its configuration.
         let marker = (self.graph.executed_marker(), self.view.clone());
-        Some(bincode::serialize(&marker).expect("markers always encode"))
+        bincode::serialize(&marker).expect("markers always encode")
     }
 
     fn restore_executed(&mut self, marker: &[u8]) -> bool {
@@ -937,14 +930,6 @@ impl Protocol for EPaxos {
 
     fn metrics(&self) -> &ProtocolMetrics {
         &self.metrics
-    }
-
-    fn epoch(&self) -> u64 {
-        self.view.epoch
-    }
-
-    fn cluster_view(&self) -> Option<ClusterView> {
-        Some(self.view.clone())
     }
 
     fn reconfigure(&mut self, view: &ClusterView, _time: Time) -> Vec<Action<Message>> {

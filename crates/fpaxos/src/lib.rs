@@ -447,8 +447,7 @@ impl FPaxos {
             self.metrics.executions += 1;
             if let Some(commit_time) = self.commit_times.remove(&slot) {
                 self.metrics
-                    .commit_to_execute
-                    .record(time.saturating_sub(commit_time));
+                    .record_commit_to_execute(time.saturating_sub(commit_time));
             }
             if !cmd.is_noop() {
                 // Executed: the forward provably reached a leader and was
@@ -610,6 +609,14 @@ impl Protocol for FPaxos {
         self.id
     }
 
+    fn config(&self) -> Config {
+        self.config
+    }
+
+    fn view(&self) -> &ClusterView {
+        &self.view
+    }
+
     // Path classification: FPaxos has no per-command fast quorum — "fast"
     // here means the command rode the steady-state leader (phase 2 only),
     // "slow" means it was caught by a leader change and waited for a
@@ -659,22 +666,6 @@ impl Protocol for FPaxos {
         }
     }
 
-    fn save_state(&self) -> Option<Vec<u8>> {
-        Some(bincode::serialize(self).expect("replica state always encodes"))
-    }
-
-    fn restore_state(
-        id: ProcessId,
-        config: Config,
-        _topology: Topology,
-        state: &[u8],
-    ) -> Option<Self> {
-        let state: FPaxos = bincode::deserialize(state).ok()?;
-        // Past epoch 0 the snapshot's view carries the authoritative
-        // configuration; the caller can only know the boot-time one.
-        (state.id == id && (state.view.epoch > 0 || state.config == config)).then_some(state)
-    }
-
     fn committed_log(&self) -> Vec<Message> {
         // Slot order; noOp gap-fillers are included so the receiver's
         // in-order executor does not stall on them.
@@ -715,7 +706,7 @@ impl Protocol for FPaxos {
         dropped
     }
 
-    fn save_executed(&self) -> Option<Vec<u8>> {
+    fn save_executed(&self) -> Vec<u8> {
         // Watermark plus configuration: the view and ring history let a
         // joiner whose bootstrap base covers an executed `Reconfigure`
         // barrier decode old-epoch leader ballots, and the observed leader
@@ -726,7 +717,7 @@ impl Protocol for FPaxos {
             self.rings.clone(),
             self.leader_ballot,
         );
-        Some(bincode::serialize(&marker).expect("markers always encode"))
+        bincode::serialize(&marker).expect("markers always encode")
     }
 
     fn restore_executed(&mut self, marker: &[u8]) -> bool {
@@ -801,14 +792,6 @@ impl Protocol for FPaxos {
 
     fn metrics(&self) -> &ProtocolMetrics {
         &self.metrics
-    }
-
-    fn epoch(&self) -> u64 {
-        self.view.epoch
-    }
-
-    fn cluster_view(&self) -> Option<ClusterView> {
-        Some(self.view.clone())
     }
 
     fn reconfigure(&mut self, view: &ClusterView, _time: Time) -> Vec<Action<Message>> {

@@ -495,8 +495,7 @@ impl Mencius {
                 self.metrics.executions += 1;
                 if let Some(commit_time) = self.commit_times.remove(&slot) {
                     self.metrics
-                        .commit_to_execute
-                        .record(time.saturating_sub(commit_time));
+                        .record_commit_to_execute(time.saturating_sub(commit_time));
                 }
                 if !cmd.is_noop() {
                     let dot = Dot::new(self.owner(slot), slot);
@@ -980,6 +979,14 @@ impl Protocol for Mencius {
         self.id
     }
 
+    fn config(&self) -> Config {
+        self.config
+    }
+
+    fn view(&self) -> &ClusterView {
+        &self.view
+    }
+
     fn submit(&mut self, cmd: Command, _time: Time) -> Vec<Action<Message>> {
         let mut actions = self.enqueue_proposal(cmd);
         // The new proposal extends the log past any unused slots of
@@ -1008,22 +1015,6 @@ impl Protocol for Mencius {
                 self.handle_revoke_accepted(from, ballot, slots)
             }
         }
-    }
-
-    fn save_state(&self) -> Option<Vec<u8>> {
-        Some(bincode::serialize(self).expect("replica state always encodes"))
-    }
-
-    fn restore_state(
-        id: ProcessId,
-        config: Config,
-        _topology: Topology,
-        state: &[u8],
-    ) -> Option<Self> {
-        let state: Mencius = bincode::deserialize(state).ok()?;
-        // After a reconfiguration the journaled view is authoritative; the
-        // caller-supplied boot config only gates epoch-0 state.
-        (state.id == id && (state.view.epoch > 0 || state.config == config)).then_some(state)
     }
 
     fn committed_log(&self) -> Vec<Message> {
@@ -1083,14 +1074,6 @@ impl Protocol for Mencius {
         // observed frontier, re-driving in-flight revocations.
         actions.extend(self.revoke_suspected_below(true));
         actions
-    }
-
-    fn epoch(&self) -> u64 {
-        self.view.epoch
-    }
-
-    fn cluster_view(&self) -> Option<ClusterView> {
-        Some(self.view.clone())
     }
 
     /// Installs the epoch's ownership ring (see [`RECONFIG_ALPHA`] and the
@@ -1176,13 +1159,13 @@ impl Protocol for Mencius {
         dropped
     }
 
-    fn save_executed(&self) -> Option<Vec<u8>> {
+    fn save_executed(&self) -> Vec<u8> {
         let marker = RingMarker {
             watermark: self.execute_next - 1,
             rings: self.rings.clone(),
             view: self.view.clone(),
         };
-        Some(bincode::serialize(&marker).expect("markers always encode"))
+        bincode::serialize(&marker).expect("markers always encode")
     }
 
     fn restore_executed(&mut self, marker: &[u8]) -> bool {
@@ -1741,7 +1724,7 @@ mod tests {
         let joint = ClusterView::initial(config).enter(&[1, 2, 4], 1).unwrap();
         let actions = m.reconfigure(&joint, 0);
         assert!(actions.is_empty());
-        assert_eq!(m.epoch(), 1);
+        assert_eq!(m.view().epoch, 1);
         // Pre-cut slots keep the old round-robin layout...
         assert_eq!(m.owner(2), 2);
         assert_eq!(m.owner(3), 3);

@@ -10,9 +10,9 @@ use crate::workload::WorkloadSpec;
 use atlas_core::protocol::Time;
 use atlas_core::util::sort_by_distance;
 use atlas_core::{
-    Action, ClientId, Command, Config, Dot, Histogram, ProcessId, Protocol, ProtocolMetrics, Rifl,
-    Topology,
+    Action, ClientId, Command, Config, Dot, ProcessId, Protocol, ProtocolMetrics, Rifl, Topology,
 };
+use atlas_metrics::BoundedHistogram;
 use kvstore::{KVStore, Workload};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -125,8 +125,10 @@ impl SimConfig {
 /// Everything measured during a run.
 #[derive(Debug, Clone, Default)]
 pub struct SimReport {
-    /// Client-perceived latency of every completed command, in µs.
-    pub latency: Histogram,
+    /// Client-perceived latency of every completed command, in µs. Count,
+    /// sum (hence the mean), min and max are exact; quantiles carry the
+    /// histogram's 6.25% bucket error.
+    pub latency: BoundedHistogram,
     /// Completion events: (completion time µs, site that served the client).
     pub completions: Vec<(Time, ProcessId)>,
     /// Aggregated protocol metrics over all sites.
@@ -202,7 +204,6 @@ struct Client {
     workload: Box<dyn Workload>,
     seq: u64,
     pending: Option<(Rifl, Time, Command)>,
-    latency: Histogram,
 }
 
 /// Events processed by the simulator.
@@ -274,6 +275,7 @@ pub struct Simulation<P: Protocol> {
     next_seq: u64,
     rng: SmallRng,
     completions: Vec<(Time, ProcessId)>,
+    latency: BoundedHistogram,
     executed_per_site: Vec<u64>,
 }
 
@@ -338,7 +340,6 @@ impl<P: Protocol> Simulation<P> {
                     workload: workload_prototype.clone_box(),
                     seq: 0,
                     pending: None,
-                    latency: Histogram::new(),
                 });
             }
         }
@@ -354,6 +355,7 @@ impl<P: Protocol> Simulation<P> {
             next_seq: 0,
             rng,
             completions: Vec::new(),
+            latency: BoundedHistogram::new(),
             executed_per_site: vec![0; n],
             cfg,
         };
@@ -571,7 +573,7 @@ impl<P: Protocol> Simulation<P> {
         if *pending_rifl != rifl {
             return;
         }
-        c.latency.record(now - submitted);
+        self.latency.record(now - submitted);
         c.pending = None;
         self.completions.push((now, served_by));
         self.push(now, EventKind::ClientNext { client });
@@ -651,18 +653,14 @@ impl<P: Protocol> Simulation<P> {
     }
 
     fn report(self, duration: Time) -> SimReport {
-        let mut latency = Histogram::new();
-        for client in &self.clients {
-            latency.merge(&client.latency);
-        }
         let per_site_metrics: Vec<ProtocolMetrics> =
-            self.processes.iter().map(|p| p.metrics().clone()).collect();
+            self.processes.iter().map(|p| *p.metrics()).collect();
         let mut protocol_metrics = ProtocolMetrics::new();
         for m in &per_site_metrics {
             protocol_metrics.merge(m);
         }
         SimReport {
-            latency,
+            latency: self.latency,
             completions: self.completions,
             protocol_metrics,
             per_site_metrics,
@@ -746,7 +744,7 @@ mod tests {
         let a = Simulation::<Atlas>::new(quick_cfg(3, 1, 2)).run();
         let b = Simulation::<Atlas>::new(quick_cfg(3, 1, 2)).run();
         assert_eq!(a.completions, b.completions);
-        assert_eq!(a.latency.samples(), b.latency.samples());
+        assert_eq!(a.latency, b.latency);
     }
 
     #[test]

@@ -18,7 +18,6 @@ use atlas::core::{Command, Config, Protocol, Rifl};
 use atlas::metrics::{BoundedHistogram, HistogramSummary};
 use atlas::protocol::Atlas;
 use atlas::runtime::{Client, Cluster};
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 const CLIENTS: u64 = 4;
@@ -58,11 +57,7 @@ async fn drive(addr: std::net::SocketAddr, client_id: u64) -> std::io::Result<Ve
     Ok(latencies_us)
 }
 
-fn run_cluster<P>(label: &str, config: Config)
-where
-    P: Protocol + Send + 'static,
-    P::Message: Serialize + Deserialize + Send + 'static,
-{
+fn run_cluster<P: Protocol>(label: &str, config: Config) {
     let rt = tokio::runtime::Runtime::new().expect("runtime");
     rt.block_on(async {
         let cluster = Cluster::spawn::<P>(config).await.expect("cluster boots");
