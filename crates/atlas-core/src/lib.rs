@@ -37,5 +37,5 @@ pub use command::{shard_of, Command, Key, KvOp, ReconfigOp, Value};
 pub use config::Config;
 pub use id::{ClientId, Dot, DotGen, ProcessId, Rifl};
 pub use metrics::ProtocolMetrics;
-pub use protocol::{Action, Protocol, Topology};
+pub use protocol::{Action, Protocol, Topology, Transfer};
 pub use view::ClusterView;

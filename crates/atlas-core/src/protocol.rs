@@ -62,15 +62,6 @@ impl<M> Action<M> {
             msg,
         }
     }
-
-    /// Convenience constructor for a broadcast to all `n` processes
-    /// (identifiers `1..=n`).
-    pub fn broadcast(n: usize, msg: M) -> Self {
-        Action::Send {
-            targets: (1..=n as ProcessId).collect(),
-            msg,
-        }
-    }
 }
 
 /// Static placement information handed to a protocol at construction time.
@@ -155,6 +146,27 @@ impl Topology {
     }
 }
 
+/// A replica's catch-up payload for a peer that lost its state: the
+/// output of [`Protocol::transfer`], the input of [`Protocol::install`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct Transfer<M> {
+    /// The highest identifier sequence (dot sequence or log slot) the
+    /// transferring replica has seen from the peer, committed or not; the
+    /// peer must never reissue identifiers at or below it.
+    pub horizon: u64,
+    /// An opaque, protocol-defined encoding of which identifiers the
+    /// transferring replica's state machine has executed (plus whatever
+    /// configuration the protocol needs to interpret them).
+    pub base: Vec<u8>,
+    /// Messages that, replayed through [`Protocol::handle`], convey every
+    /// command the transferring replica still retains as committed — after
+    /// [`Protocol::gc_executed`], everything above the compaction floor,
+    /// executed entries included: an entry executed there may be unknown
+    /// to the replica whose base the peer installed. Commit-style messages
+    /// are idempotent, and entries a base covers replay as no-ops.
+    pub log: Vec<M>,
+}
+
 /// A replication protocol, written as a deterministic state machine.
 ///
 /// All methods take the current [`Time`] so protocols can record latency
@@ -162,7 +174,7 @@ impl Topology {
 ///
 /// The contract is total: every method is required and every protocol in
 /// this workspace supports all of it — snapshots, reconfiguration, garbage
-/// collection and catch-up base transfer. The state itself is the snapshot:
+/// collection and catch-up state transfer. The state itself is the snapshot:
 /// a runtime persists a replica by serializing it whole, which is why the
 /// trait (and its message type) carry serde bounds.
 pub trait Protocol: Serialize + Deserialize + Send + 'static {
@@ -188,7 +200,7 @@ pub trait Protocol: Serialize + Deserialize + Send + 'static {
     /// `enter`/`finalize` applied to the protocol's own configuration,
     /// which may lag the runtime's announcement-fed view — so it must
     /// advance exactly and only at [`Protocol::reconfigure`] calls (and
-    /// marker/state restores).
+    /// base/state restores).
     fn view(&self) -> &ClusterView;
 
     /// Submits a command on behalf of a local client; the replica becomes the
@@ -269,23 +281,6 @@ pub trait Protocol: Serialize + Deserialize + Send + 'static {
     ///   epochs.
     fn reconfigure(&mut self, view: &ClusterView, time: Time) -> Vec<Action<Self::Message>>;
 
-    /// Messages that, replayed through [`Protocol::handle`] on a fresh
-    /// replica, convey every command this replica has committed — the
-    /// payload of a peer-assisted catch-up (state transfer). Commit-style
-    /// messages are idempotent in every protocol of this workspace, so
-    /// applying a committed log on top of partially known state is safe.
-    ///
-    /// Note that after [`Protocol::gc_executed`] has run, only entries
-    /// above the compaction floor remain here — a runtime serving catch-up
-    /// must pair this retained log with the executed-state base from
-    /// [`Protocol::save_executed`], which covers everything any replica
-    /// has collected. The receiver's executed-state marker makes replaying
-    /// entries the base already reflects an idempotent no-op, so shipping
-    /// the full retained log (executed entries included) is what keeps
-    /// catch-up complete: an entry executed here may still be unknown to
-    /// the peer whose base the receiver installed.
-    fn committed_log(&self) -> Vec<Self::Message>;
-
     /// This replica's **executed watermarks**: for every identifier space
     /// (a coordinating process for dot-based protocols, the sentinel
     /// process `0` for the single shared log of slot-based protocols), the
@@ -298,8 +293,8 @@ pub trait Protocol: Serialize + Deserialize + Send + 'static {
     /// all-executed horizon) to [`Protocol::gc_executed`]. They must be
     ///
     /// * **monotone** — a watermark never regresses on a live replica
-    ///   (restoring a peer's base via [`Protocol::restore_executed`] after
-    ///   a wipe may legitimately report lower values than the lost
+    ///   (installing a peer's base via [`Protocol::install`] after a wipe
+    ///   may legitimately report lower values than the lost
     ///   incarnation once did; see `ARCHITECTURE.md` for why that stale
     ///   window is safe), and
     /// * **truthful** — reporting `w` promises this replica will never
@@ -332,28 +327,6 @@ pub trait Protocol: Serialize + Deserialize + Send + 'static {
     ///   must be indistinguishable from a never-collected replica.
     fn gc_executed(&mut self, horizon: &[(ProcessId, u64)]) -> u64;
 
-    /// Serializes this replica's **executed-state marker**: an opaque,
-    /// protocol-defined encoding of *which* identifiers the local state
-    /// machine has executed (e.g. per-source contiguous frontiers plus the
-    /// out-of-order executed set, or a single slot watermark). Paired with
-    /// the runtime's copy of the state machine (store + execution record),
-    /// it forms the base of a streamed catch-up: a wiped peer installs the
-    /// base, marks exactly these identifiers executed via
-    /// [`Protocol::restore_executed`], and replays the peers' retained
-    /// [`committed_log`](Protocol::committed_log)s on top (base-covered
-    /// entries replay as no-ops).
-    fn save_executed(&self) -> Vec<u8>;
-
-    /// Installs an executed-state marker produced by a **peer's**
-    /// [`Protocol::save_executed`] into this replica. Must only be called
-    /// on a replica whose state machine is otherwise untouched (a wiped
-    /// rejoiner before it has executed anything); marking an identifier
-    /// executed suppresses its future execution, so installing a marker
-    /// over real progress would skip commands. Returns `false` — changing
-    /// nothing — if the bytes cannot be decoded or this replica has already
-    /// executed something.
-    fn restore_executed(&mut self, marker: &[u8]) -> bool;
-
     /// Number of per-command bookkeeping entries currently held (command
     /// info maps, decided-slot maps, …) — the quantity
     /// [`Protocol::gc_executed`] exists to bound. Observability only; the
@@ -361,20 +334,26 @@ pub trait Protocol: Serialize + Deserialize + Send + 'static {
     /// maps stay bounded under GC.
     fn tracked_entries(&self) -> usize;
 
-    /// The highest command sequence number (dot sequence or log slot) this
-    /// replica has *seen* — committed or not — originating from `source`.
-    ///
-    /// A replica that lost its state and rejoins asks its peers for this
-    /// horizon and calls [`Protocol::advance_identifiers`] with the maximum,
-    /// so the identifiers of its previous incarnation are never reissued for
-    /// different commands.
-    fn seen_horizon(&self, source: ProcessId) -> u64;
+    /// What this replica hands peer `to` when `to` lost its state and
+    /// rejoins (a peer-assisted catch-up); see [`Transfer`]. The runtime
+    /// pairs the opaque `base` with its own copy of the state machine
+    /// (store + execution record), so the two together form an
+    /// executed-state base, and ships the retained `log` on top.
+    fn transfer(&self, to: ProcessId) -> Transfer<Self::Message>;
 
-    /// Ensures every identifier this replica generates from now on is
-    /// strictly greater than `past` (in its own identifier space). Called
-    /// during peer-assisted catch-up with the peers' [`seen
-    /// horizon`](Protocol::seen_horizon) for this replica.
-    fn advance_identifiers(&mut self, past: u64);
+    /// Installs what a peer's [`transfer`](Protocol::transfer) handed this
+    /// replica. Always ensures every identifier this replica generates from
+    /// now on is strictly greater than `horizon` in its own identifier
+    /// space (so identifiers of a lost incarnation are never reissued for
+    /// different commands). Marks the identifiers `base` covers executed
+    /// only on a replica that has executed nothing yet: marking an
+    /// identifier executed suppresses its execution, so installing a base
+    /// over real progress would skip commands. Returns `false` if a `base`
+    /// was given but not installed (it does not decode, or this replica
+    /// has executed something); the identifier advance happens anyway,
+    /// after the base, so a base can never pull the generator back below
+    /// `horizon`.
+    fn install(&mut self, horizon: u64, base: Option<&[u8]>) -> bool;
 
     /// Protocol metrics accumulated so far: constant-size counters and
     /// moments, exported whole over the runtime's stats plane.
@@ -414,17 +393,5 @@ mod tests {
         let alive = vec![1, 3, 5];
         assert_eq!(t.closest_alive_quorum(3, &alive), Some(vec![1, 3, 5]));
         assert_eq!(t.closest_alive_quorum(4, &alive), None);
-    }
-
-    #[test]
-    fn broadcast_targets_all_processes() {
-        let action: Action<&str> = Action::broadcast(4, "m");
-        match action {
-            Action::Send { targets, msg } => {
-                assert_eq!(targets, vec![1, 2, 3, 4]);
-                assert_eq!(msg, "m");
-            }
-            _ => panic!("expected send"),
-        }
     }
 }

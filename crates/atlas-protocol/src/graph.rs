@@ -23,9 +23,8 @@ use std::collections::{HashMap, HashSet};
 /// commands that became executable, in execution order.
 pub type ExecutionBatch = Vec<(Dot, Command)>;
 
-/// Compact encoding of the graph's executed set — the protocol's
-/// executed-state marker shipped to a wiped peer during catch-up base
-/// transfer (see `Protocol::save_executed`). Every dot `⟨s, 1..=f⟩` for
+/// Compact encoding of the graph's executed set — the executed-state base
+/// shipped to a wiped peer during catch-up (see `Protocol::transfer`). Every dot `⟨s, 1..=f⟩` for
 /// `(s, f)` in `frontiers` is executed, plus every dot listed in `above`;
 /// nothing else is.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -218,7 +217,7 @@ impl DependencyGraph {
         &mut self,
         dot: Dot,
         cmd: Command,
-        deps: Vec<Dot>,
+        mut deps: Vec<Dot>,
         metrics: &mut ProtocolMetrics,
     ) -> ExecutionBatch {
         if self.is_committed(&dot) {
@@ -226,6 +225,13 @@ impl DependencyGraph {
             // they must be idempotent.
             return Vec::new();
         }
+        // The walks below visit dependencies (and, further down, waiters)
+        // in order, which decides the missing dependency a blocked command
+        // waits under (hence what recovery starts) and the order of
+        // independent batches. Sorting makes both a function of the graph
+        // alone: `deps` often comes from a `HashSet`, whose order differs
+        // between replicas and runs.
+        deps.sort_unstable();
         self.pending.insert(dot, Vertex { cmd, deps });
 
         let mut executed = Vec::new();
@@ -233,7 +239,9 @@ impl DependencyGraph {
         // blocked waiting for it.
         let mut candidates = vec![dot];
         if let Some(waiters) = self.waiting_on.remove(&dot) {
+            let start = candidates.len();
             candidates.extend(waiters);
+            candidates[start..].sort_unstable();
         }
         // Vertices a failed walk of this very call proved blocked, mapped to
         // the uncommitted dot they (transitively) depend on. Lets sibling
@@ -580,6 +588,33 @@ mod tests {
             match &reference {
                 None => reference = Some(order),
                 Some(r) => assert_eq!(&order, r),
+            }
+        }
+    }
+
+    #[test]
+    fn execution_does_not_depend_on_the_order_deps_are_given() {
+        // r depends on x and y, which do not depend on each other; both
+        // wait on m. Which of x and y a blocked r waits on, and which of
+        // them executes first once m commits, is up to the graph walk — it
+        // must not follow the order the caller listed r's dependencies in
+        // (callers collect them from a `HashSet`).
+        let r = Dot::new(1, 1);
+        let x = Dot::new(2, 1);
+        let y = Dot::new(3, 1);
+        let m = Dot::new(9, 1);
+        let mut reference: Option<(Vec<Dot>, Vec<Dot>)> = None;
+        for deps in [vec![x, y], vec![y, x]] {
+            let mut g = DependencyGraph::new();
+            assert!(g.commit(r, cmd(1), deps).is_empty());
+            let waiting = g.missing_dependencies();
+            assert!(g.commit(x, cmd(2), vec![m]).is_empty());
+            assert!(g.commit(y, cmd(3), vec![m]).is_empty());
+            let order = dots(&g.commit(m, cmd(9), vec![]));
+            assert_eq!(order.len(), 4, "all commands must execute");
+            match &reference {
+                None => reference = Some((waiting, order)),
+                Some(first) => assert_eq!(first, &(waiting, order)),
             }
         }
     }

@@ -21,6 +21,9 @@
 //!   fixed total order on identifiers.
 //! * The two optimizations of §4: slow-path dependency pruning and
 //!   non-fault-tolerant reads (NFR).
+//! * [`DepCore`], the bookkeeping every dependency-graph protocol shares
+//!   (seen identifiers, commit→execute, watermarks and GC, catch-up
+//!   transfer, view switches); the `epaxos` crate builds on it too.
 //!
 //! # Example
 //!
@@ -44,14 +47,16 @@
 
 #[cfg(any(test, feature = "chaos"))]
 pub mod chaos;
+pub mod dep_core;
 pub mod graph;
 pub mod keydeps;
 pub mod messages;
 pub mod protocol;
 pub mod recovery;
 
+pub use dep_core::{DepCore, Entry};
 pub use graph::{DependencyGraph, ExecutedMarker};
 pub use keydeps::KeyDeps;
 pub use messages::{Ballot, Message};
 pub use protocol::Atlas;
-pub use recovery::{ballot_owner, highest_accepted, takeover_ballot, RecAck};
+pub use recovery::{ballot_owner_in, highest_accepted, takeover_ballot_in, RecAck};

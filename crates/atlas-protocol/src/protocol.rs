@@ -1,23 +1,23 @@
 //! The Atlas replica state machine: failure-free protocol (Algorithm 1) plus
 //! the execution loop (Algorithm 3). The recovery path (Algorithm 2) lives in
-//! the crate-private `recovery` module.
+//! the crate-private `recovery` module; the bookkeeping Atlas shares with
+//! EPaxos lives in [`DepCore`].
 
-use crate::graph::DependencyGraph;
-use crate::keydeps::KeyDeps;
+use crate::dep_core::{DepCore, Entry};
 use crate::messages::{Ballot, Message};
 use crate::recovery::RecAck;
-use atlas_core::protocol::Time;
+use atlas_core::protocol::{Time, Transfer};
 use atlas_core::{
-    Action, ClusterView, Command, Config, Dot, DotGen, ProcessId, Protocol, ProtocolMetrics,
-    Topology,
+    Action, ClusterView, Command, Config, Dot, ProcessId, Protocol, ProtocolMetrics, Topology,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
 /// Progress of a command identifier at this replica (paper §3.2.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub(crate) enum Phase {
     /// Nothing known beyond possibly the identifier itself.
+    #[default]
     Start,
     /// The replica has processed the `MCollect` for this identifier.
     Collect,
@@ -25,12 +25,10 @@ pub(crate) enum Phase {
     Recover,
     /// Final command and dependencies are known.
     Commit,
-    /// The command has been applied to the local state machine.
-    Execute,
 }
 
 /// Per-identifier bookkeeping (the mappings at the bottom of Algorithm 1/4).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub(crate) struct Info {
     pub phase: Phase,
     pub cmd: Option<Command>,
@@ -61,22 +59,12 @@ pub(crate) struct Info {
     pub collect_decided: bool,
 }
 
-impl Info {
-    fn new() -> Self {
-        Self {
-            phase: Phase::Start,
-            cmd: None,
-            deps: HashSet::new(),
-            quorum: Vec::new(),
-            bal: 0,
-            abal: 0,
-            collect_acks: HashMap::new(),
-            consensus_acks: HashMap::new(),
-            rec_acks: HashMap::new(),
-            rec_proposed: HashMap::new(),
-            committed_sent: false,
-            collect_decided: false,
+impl Entry for Info {
+    fn committed(&self) -> Option<(&Command, &HashSet<Dot>)> {
+        if self.phase != Phase::Commit {
+            return None;
         }
+        Some((self.cmd.as_ref()?, &self.deps))
     }
 }
 
@@ -90,72 +78,14 @@ impl Info {
 /// index and the execution graph, round-trips).
 #[derive(Debug, Serialize, Deserialize)]
 pub struct Atlas {
-    pub(crate) id: ProcessId,
-    pub(crate) config: Config,
-    pub(crate) topology: Topology,
-    pub(crate) dot_gen: DotGen,
-    pub(crate) key_deps: KeyDeps,
+    pub(crate) core: DepCore,
     pub(crate) info: HashMap<Dot, Info>,
-    pub(crate) graph: DependencyGraph,
-    pub(crate) metrics: ProtocolMetrics,
-    /// Local commit time per identifier, to measure commit→execute delay.
-    pub(crate) commit_times: HashMap<Dot, Time>,
-    /// Highest identifier sequence seen per source. Kept separately from
-    /// the `info` keys so [`Protocol::seen_horizon`] survives garbage
-    /// collection of executed entries — the horizon protects identifier
-    /// reissue, not replay, so it must never shrink.
-    pub(crate) seen: HashMap<ProcessId, u64>,
-    /// The configuration epoch this replica operates in. `config` and
-    /// `topology` always mirror it (in the joint window `topology` spans
-    /// the union of both member sets).
-    pub(crate) view: ClusterView,
 }
 
 impl Atlas {
     pub(crate) fn info_mut(&mut self, dot: Dot) -> &mut Info {
-        let seen = self.seen.entry(dot.source).or_insert(0);
-        *seen = (*seen).max(dot.seq);
-        self.info.entry(dot).or_insert_with(Info::new)
-    }
-
-    /// Whether `dot` sits at or below the GC floor: committed and executed
-    /// by **every** replica, with its bookkeeping dropped here. Messages
-    /// about such identifiers (duplicates, stragglers, recovery probes) are
-    /// ignored exactly as a terminal-phase entry would ignore them — no
-    /// replica can still be waiting on them.
-    pub(crate) fn collected(&self, dot: &Dot) -> bool {
-        dot.seq <= self.graph.floor_of(dot.source)
-    }
-
-    /// The fast quorum for a regular command: the `⌊n/2⌋ + f` closest
-    /// processes, including this coordinator (paper §3.2.2).
-    fn fast_quorum(&self) -> Vec<ProcessId> {
-        self.topology
-            .closest_quorum(self.config.atlas_fast_quorum_size())
-    }
-
-    /// The fast quorum for an NFR read: a plain majority (paper §4).
-    fn read_quorum(&self) -> Vec<ProcessId> {
-        self.topology.closest_quorum(self.config.majority())
-    }
-
-    /// The slow quorum: the `f + 1` closest processes, including this
-    /// coordinator (paper §3.2.3).
-    fn slow_quorum(&self) -> Vec<ProcessId> {
-        self.topology.closest_quorum(self.config.slow_quorum_size())
-    }
-
-    /// Every process this replica talks to (the current members — in the
-    /// joint window, of both configurations — plus itself). Replaces
-    /// `Action::broadcast(n, ..)`, whose `1..=n` targets are wrong once a
-    /// reconfiguration makes identifiers non-contiguous.
-    pub(crate) fn everyone(&self) -> Vec<ProcessId> {
-        let mut all = self.topology.processes.clone();
-        if !all.contains(&self.id) {
-            all.push(self.id);
-            all.sort_unstable();
-        }
-        all
+        self.core.see(dot);
+        self.info.entry(dot).or_default()
     }
 
     /// Threshold union `⋃_f Q dep`: the identifiers reported by at least `f`
@@ -192,7 +122,7 @@ impl Atlas {
         past: HashSet<Dot>,
         quorum: Vec<ProcessId>,
     ) -> Vec<Action<Message>> {
-        if self.collected(&dot) {
+        if self.core.collected(&dot) {
             return Vec::new();
         }
         let info = self.info_mut(dot);
@@ -206,9 +136,8 @@ impl Atlas {
         // record the command so later commands depend on it. NFR reads are
         // excluded from the dependencies of later commands, which
         // `KeyDeps::add` takes care of.
-        let mut deps = self.key_deps.conflicts(&cmd);
+        let mut deps = self.core.key_deps.conflicts_and_add(dot, &cmd);
         deps.extend(past);
-        self.key_deps.add(dot, &cmd);
         deps.remove(&dot);
 
         let info = self.info_mut(dot);
@@ -226,14 +155,11 @@ impl Atlas {
         from: ProcessId,
         dot: Dot,
         deps: HashSet<Dot>,
-        time: Time,
     ) -> Vec<Action<Message>> {
-        let f = self.config.f;
-        let slow_path_pruning = self.config.slow_path_pruning;
-        let nfr = self.config.nfr;
-        let view = self.view.clone();
-        let base = self.config;
-        let everyone = self.everyone();
+        let id = self.core.id();
+        let base = self.core.config();
+        let view = self.core.view().clone();
+        let everyone = self.core.everyone();
         let slow_quorum = if view.is_joint() {
             // Joint window: the accept phase needs `f + 1` in *both*
             // configurations, and the closest-quorum prefix cannot know
@@ -241,7 +167,7 @@ impl Atlas {
             // `handle_consensus_ack`'s dual count decide.
             everyone.clone()
         } else {
-            self.slow_quorum()
+            self.core.closest(Config::slow_quorum_size)
         };
         let Some(info) = self.info.get_mut(&dot) else {
             return Vec::new();
@@ -249,7 +175,7 @@ impl Atlas {
         // Precondition: still in the collect phase (a recovery or a commit
         // invalidates the fast path, line 13) and a decision has not been
         // taken yet (guards against duplicate deliveries).
-        if info.phase != Phase::Collect || dot.coordinator() != self.id || info.collect_decided {
+        if info.phase != Phase::Collect || dot.coordinator() != id || info.collect_decided {
             return Vec::new();
         }
         if !info.quorum.contains(&from) {
@@ -279,30 +205,28 @@ impl Atlas {
         // argument (threshold union over the fast quorum) holds per
         // configuration, not across two of them, so every joint-window
         // command runs consensus at dual quorums instead.
-        let is_nfr_read = nfr && cmd.is_read_only() && !view.is_joint();
-        let threshold = Self::threshold_union(&info.collect_acks, f);
+        let is_nfr_read = base.nfr && cmd.is_read_only() && !view.is_joint();
+        let threshold = Self::threshold_union(&info.collect_acks, base.f);
         let fast_path = !view.is_joint() && (is_nfr_read || union == threshold);
 
         if fast_path {
             // Fast path (line 16): commit after a single round trip.
-            self.metrics.fast_paths += 1;
+            self.core.metrics.fast_paths += 1;
             let deps = union;
-            let mut actions = vec![Action::send(everyone, Message::MCommit { dot, cmd, deps })];
-            actions.extend(self.noop_actions(time));
-            actions
+            vec![Action::send(everyone, Message::MCommit { dot, cmd, deps })]
         } else {
             // Slow path (lines 17-19): run consensus on the dependencies.
             // With the pruning optimization (§4) the proposal is ⋃_f instead
             // of ⋃, dropping dependencies reported by fewer than f members.
             // The pruning argument is fast-quorum-shaped, so the joint
             // window always proposes the plain union.
-            self.metrics.slow_paths += 1;
-            let proposal = if slow_path_pruning && !view.is_joint() {
+            self.core.metrics.slow_paths += 1;
+            let proposal = if base.slow_path_pruning && !view.is_joint() {
                 threshold
             } else {
                 union
             };
-            let ballot = self.id as Ballot;
+            let ballot = id as Ballot;
             vec![Action::send(
                 slow_quorum,
                 Message::MConsensus {
@@ -324,14 +248,14 @@ impl Atlas {
         deps: HashSet<Dot>,
         ballot: Ballot,
     ) -> Vec<Action<Message>> {
-        if self.collected(&dot) {
+        if self.core.collected(&dot) {
             // Executed everywhere and garbage-collected: the proposer has
             // it too (the GC horizon is all-executed), so no short-circuit
             // MCommit is needed — or possible, the payload is gone.
             return Vec::new();
         }
         let info = self.info_mut(dot);
-        if info.phase == Phase::Commit || info.phase == Phase::Execute {
+        if info.phase == Phase::Commit {
             // Already decided: tell the proposer.
             let cmd = info.cmd.clone().expect("committed command is known");
             let deps = info.deps.clone();
@@ -353,11 +277,10 @@ impl Atlas {
         from: ProcessId,
         dot: Dot,
         ballot: Ballot,
-        time: Time,
     ) -> Vec<Action<Message>> {
-        let view = self.view.clone();
-        let base = self.config;
-        let everyone = self.everyone();
+        let view = self.core.view().clone();
+        let base = self.core.config();
+        let everyone = self.core.everyone();
         let Some(info) = self.info.get_mut(&dot) else {
             return Vec::new();
         };
@@ -379,77 +302,32 @@ impl Atlas {
             .clone()
             .expect("accepted proposal stores the command");
         let deps = info.deps.clone();
-        let mut actions = vec![Action::send(everyone, Message::MCommit { dot, cmd, deps })];
-        actions.extend(self.noop_actions(time));
-        actions
+        vec![Action::send(everyone, Message::MCommit { dot, cmd, deps })]
     }
 
     /// Handles `MCommit` (Algorithm 1, line 28) and runs the execution loop.
-    pub(crate) fn handle_commit(
+    fn handle_commit(
         &mut self,
         dot: Dot,
         cmd: Command,
         deps: HashSet<Dot>,
         time: Time,
     ) -> Vec<Action<Message>> {
-        if self.graph.is_executed(&dot) {
+        if self.core.is_executed(&dot) {
             // Already executed here: either a garbage-collected entry (the
-            // graph's floor implies it) or one covered by a catch-up base
-            // marker, where no `info` entry exists to dedupe through. A
-            // duplicate commit must not resurrect bookkeeping.
+            // graph's floor implies it) or one covered by a catch-up base,
+            // where no `info` entry exists to dedupe through. A duplicate
+            // commit must not resurrect bookkeeping.
             return Vec::new();
         }
-        {
-            let info = self.info_mut(dot);
-            if info.phase == Phase::Commit || info.phase == Phase::Execute {
-                return Vec::new();
-            }
-            info.phase = Phase::Commit;
-            info.cmd = Some(cmd.clone());
-            info.deps = deps.clone();
+        let info = self.info_mut(dot);
+        if info.phase == Phase::Commit {
+            return Vec::new();
         }
-        // Make sure later commands observe this one as a conflict even if
-        // this replica was not in its fast quorum.
-        self.key_deps.add(dot, &cmd);
-        self.metrics.commits += 1;
-        if cmd.is_noop() {
-            self.metrics.noops += 1;
-        }
-        self.metrics.record_dependencies(deps.len());
-        self.commit_times.insert(dot, time);
-
-        let executed =
-            self.graph
-                .commit_recording(dot, cmd, deps.into_iter().collect(), &mut self.metrics);
-        self.process_executions(executed, time)
-    }
-
-    /// Converts a batch returned by the dependency graph into `Execute`
-    /// actions and records execution metrics.
-    pub(crate) fn process_executions(
-        &mut self,
-        executed: Vec<(Dot, Command)>,
-        time: Time,
-    ) -> Vec<Action<Message>> {
-        let mut actions = Vec::with_capacity(executed.len() + 1);
-        for (dot, cmd) in executed {
-            if let Some(info) = self.info.get_mut(&dot) {
-                info.phase = Phase::Execute;
-            }
-            self.metrics.executions += 1;
-            if let Some(commit_time) = self.commit_times.remove(&dot) {
-                self.metrics
-                    .record_commit_to_execute(time.saturating_sub(commit_time));
-            }
-            actions.push(Action::Execute { dot, cmd });
-        }
-        actions
-    }
-
-    /// No extra actions are needed after a commit broadcast; kept as a hook
-    /// so both commit paths share the same shape.
-    fn noop_actions(&mut self, _time: Time) -> Vec<Action<Message>> {
-        Vec::new()
+        info.phase = Phase::Commit;
+        info.cmd = Some(cmd.clone());
+        info.deps = deps.clone();
+        self.core.commit(dot, cmd, deps, time)
     }
 }
 
@@ -467,32 +345,22 @@ impl Protocol for Atlas {
             topology.processes.len(),
             config.n
         );
-        let view = ClusterView::at(0, topology.processes.clone(), config.f);
         Self {
-            id,
-            config,
-            topology,
-            dot_gen: DotGen::new(id),
-            key_deps: KeyDeps::new(config.nfr),
+            core: DepCore::new(id, config, topology),
             info: HashMap::new(),
-            graph: DependencyGraph::new(),
-            metrics: ProtocolMetrics::new(),
-            commit_times: HashMap::new(),
-            seen: HashMap::new(),
-            view,
         }
     }
 
     fn id(&self) -> ProcessId {
-        self.id
+        self.core.id()
     }
 
     fn config(&self) -> Config {
-        self.config
+        self.core.config()
     }
 
     fn view(&self) -> &ClusterView {
-        &self.view
+        self.core.view()
     }
 
     fn submit(&mut self, cmd: Command, _time: Time) -> Vec<Action<Message>> {
@@ -500,17 +368,17 @@ impl Protocol for Atlas {
         // contribution is produced when it handles its own MCollect (the
         // runtime delivers self-addressed messages immediately), so `past`
         // here is what the paper calls conflicts(c) at submission time.
-        let dot = self.dot_gen.next_dot();
-        let past = self.key_deps.conflicts(&cmd);
-        let quorum = if self.view.is_joint() {
+        let dot = self.core.dot_gen.next_dot();
+        let past = self.core.key_deps.conflicts(&cmd);
+        let quorum = if self.core.view().is_joint() {
             // Joint window: collect from everyone and decide on a dual
             // majority (see `handle_collect_ack`); the closest-quorum draw
             // below cannot name a set that is safe in both configurations.
-            self.everyone()
-        } else if self.config.nfr && cmd.is_read_only() {
-            self.read_quorum()
+            self.core.everyone()
+        } else if self.core.config().nfr && cmd.is_read_only() {
+            self.core.closest(Config::majority)
         } else {
-            self.fast_quorum()
+            self.core.closest(Config::atlas_fast_quorum_size)
         };
         vec![Action::send(
             quorum.clone(),
@@ -535,16 +403,14 @@ impl Protocol for Atlas {
                 past,
                 quorum,
             } => self.handle_collect(from, dot, cmd, past, quorum),
-            Message::MCollectAck { dot, deps } => self.handle_collect_ack(from, dot, deps, time),
+            Message::MCollectAck { dot, deps } => self.handle_collect_ack(from, dot, deps),
             Message::MConsensus {
                 dot,
                 cmd,
                 deps,
                 ballot,
             } => self.handle_consensus(from, dot, cmd, deps, ballot),
-            Message::MConsensusAck { dot, ballot } => {
-                self.handle_consensus_ack(from, dot, ballot, time)
-            }
+            Message::MConsensusAck { dot, ballot } => self.handle_consensus_ack(from, dot, ballot),
             Message::MCommit { dot, cmd, deps } => self.handle_commit(dot, cmd, deps, time),
             Message::MRec { dot, cmd, ballot } => self.handle_rec(from, dot, cmd, ballot),
             Message::MRecAck {
@@ -558,154 +424,49 @@ impl Protocol for Atlas {
         }
     }
 
-    fn suspect(&mut self, suspected: ProcessId, time: Time) -> Vec<Action<Message>> {
-        self.recover_suspected(suspected, time)
+    fn suspect(&mut self, suspected: ProcessId, _time: Time) -> Vec<Action<Message>> {
+        let dots = self.core.suspected_dots(suspected, &self.info);
+        dots.into_iter().flat_map(|dot| self.recover(dot)).collect()
     }
 
-    fn committed_log(&self) -> Vec<Message> {
-        let mut commits: Vec<(Dot, Message)> = self
-            .info
-            .iter()
-            .filter(|(_, info)| matches!(info.phase, Phase::Commit | Phase::Execute))
-            .filter_map(|(dot, info)| {
-                Some((
-                    *dot,
-                    Message::MCommit {
-                        dot: *dot,
-                        cmd: info.cmd.clone()?,
-                        deps: info.deps.clone(),
-                    },
-                ))
-            })
-            .collect();
-        commits.sort_by_key(|(dot, _)| *dot);
-        commits.into_iter().map(|(_, msg)| msg).collect()
+    fn reconfigure(&mut self, view: &ClusterView, _time: Time) -> Vec<Action<Message>> {
+        // Liveness across the switch: the re-driven proposals go through
+        // the recovery path, whose consensus gathers quorums under the
+        // *new* view.
+        let stuck = self.core.switch_view(view, &self.info);
+        stuck
+            .into_iter()
+            .flat_map(|dot| self.recover(dot))
+            .collect()
     }
 
     fn executed_watermarks(&self) -> Vec<(ProcessId, u64)> {
-        // Dense over every process so the runtime's pointwise minimum can
-        // tell "nothing executed from this source yet" (watermark 0) apart
-        // from "this replica never reported".
-        // The union with `seen` keeps reporting the identifier spaces of
-        // members a reconfiguration removed, so their leftover entries can
-        // still be collected once every current replica has executed them.
-        let mut spaces: Vec<ProcessId> = self.topology.processes.clone();
-        spaces.extend(self.seen.keys().copied());
-        spaces.sort_unstable();
-        spaces.dedup();
-        let mut watermarks: Vec<(ProcessId, u64)> = spaces
-            .into_iter()
-            .map(|p| (p, self.graph.executed_frontier(p)))
-            .collect();
-        watermarks.sort_unstable();
-        watermarks
+        self.core.executed_watermarks()
     }
 
     fn gc_executed(&mut self, horizon: &[(ProcessId, u64)]) -> u64 {
-        self.graph.compact_below(horizon);
-        // Drop the per-command bookkeeping of everything at or below the
-        // graph's (frontier-clamped) floor; by construction of the horizon
-        // those entries are executed at every replica. All of them, not
-        // only terminal phases: the only non-terminal entries that can sit
-        // below the floor are empty shells a straggler ack resurrected
-        // after an earlier collection, and keeping those would leak.
-        let before = self.info.len();
-        let graph = &self.graph;
-        self.info
-            .retain(|dot, _| dot.seq > graph.floor_of(dot.source));
-        let dropped = (before - self.info.len()) as u64;
-        self.key_deps.prune_below(horizon);
-        dropped
-    }
-
-    fn save_executed(&self) -> Vec<u8> {
-        // The view rides along so a bootstrap base that covers an executed
-        // `Reconfigure` barrier still hands the joiner the configuration it
-        // must gather quorums in (the message tail only replays what the
-        // base does not cover).
-        let marker = (self.graph.executed_marker(), self.view.clone());
-        bincode::serialize(&marker).expect("markers always encode")
-    }
-
-    fn restore_executed(&mut self, marker: &[u8]) -> bool {
-        let Ok((marker, view)) =
-            bincode::deserialize::<(crate::graph::ExecutedMarker, ClusterView)>(marker)
-        else {
-            return false;
-        };
-        if !self.graph.restore_marker(&marker) {
-            return false;
-        }
-        if view.epoch > self.view.epoch {
-            self.config = view.config(self.config);
-            self.topology = Topology::from_members(self.id, &view.all_members());
-            self.view = view;
-        }
-        // The marked identifiers were seen (they executed); fold them into
-        // the seen horizon so this replica's reports protect them too.
-        for &(source, frontier) in &marker.frontiers {
-            let seen = self.seen.entry(source).or_insert(0);
-            *seen = (*seen).max(frontier);
-        }
-        for dot in &marker.above {
-            let seen = self.seen.entry(dot.source).or_insert(0);
-            *seen = (*seen).max(dot.seq);
-        }
-        true
+        self.core.gc(horizon, &mut self.info)
     }
 
     fn tracked_entries(&self) -> usize {
         self.info.len()
     }
 
-    fn seen_horizon(&self, source: ProcessId) -> u64 {
-        self.seen.get(&source).copied().unwrap_or(0)
+    fn transfer(&self, to: ProcessId) -> Transfer<Message> {
+        self.core
+            .transfer(to, &self.info, |dot, cmd, deps| Message::MCommit {
+                dot,
+                cmd,
+                deps,
+            })
     }
 
-    fn advance_identifiers(&mut self, past: u64) {
-        self.dot_gen.advance_past(past);
+    fn install(&mut self, horizon: u64, base: Option<&[u8]>) -> bool {
+        self.core.install(horizon, base)
     }
 
     fn metrics(&self) -> &ProtocolMetrics {
-        &self.metrics
-    }
-
-    fn reconfigure(&mut self, view: &ClusterView, time: Time) -> Vec<Action<Message>> {
-        // Idempotence: apply only strictly newer views (the runtime may
-        // deliver the same epoch both via the log barrier and a journaled
-        // epoch record on replay).
-        if view.epoch <= self.view.epoch {
-            return Vec::new();
-        }
-        self.view = view.clone();
-        self.config = view.config(self.config);
-        self.topology = Topology::from_members(self.id, &view.all_members());
-        if !view.all_members().contains(&self.id) {
-            // Removed replicas stop driving proposals; the runtime retires
-            // them shortly after.
-            return Vec::new();
-        }
-        // Liveness across the switch: re-drive every in-flight proposal this
-        // replica coordinates, plus any whose coordinator the new view
-        // dropped (nobody else will finish those), through the recovery
-        // path — its consensus gathers quorums under the *new* view. Sorted
-        // for replay determinism.
-        let members = self.view.all_members();
-        let mut stuck: Vec<Dot> = self
-            .info
-            .iter()
-            .filter(|(_, info)| !matches!(info.phase, Phase::Commit | Phase::Execute))
-            .filter(|(dot, _)| {
-                dot.coordinator() == self.id || !members.contains(&dot.coordinator())
-            })
-            .map(|(dot, _)| *dot)
-            .collect();
-        stuck.sort_unstable();
-        let mut actions = Vec::new();
-        for dot in stuck {
-            actions.extend(self.recover(dot, time));
-        }
-        actions
+        &self.core.metrics
     }
 }
 

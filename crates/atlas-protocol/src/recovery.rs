@@ -17,40 +17,22 @@
 //! (`MConsensus` / `MConsensusAck`) before being committed.
 //!
 //! The building blocks — process-owned takeover ballots
-//! ([`takeover_ballot`] / [`ballot_owner`]) and the phase-1 reply shape
+//! ([`takeover_ballot_in`] / [`ballot_owner_in`]) and the phase-1 reply shape
 //! ([`RecAck`]) — are exported because EPaxos instance recovery and Mencius
 //! slot revocation run the same message flow with protocol-specific value
 //! selection; see the `epaxos` and `mencius` crates.
 
 use crate::messages::{Ballot, Message};
 use crate::protocol::{Atlas, Phase};
-use atlas_core::protocol::Time;
 use atlas_core::{Action, ClusterView, Command, Config, Dot, ProcessId};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
-/// The smallest ballot owned by process `id` that is strictly greater than
-/// both `seen` and `n`: `id + n·(⌊seen/n⌋ + 1)`. Ballots `1..=n` are
-/// reserved for initial coordinators (process `i` implicitly leads ballot
-/// `i`), so every takeover ballot is recognizably a recovery ballot, and
-/// ballots minted by different processes can never collide.
-pub fn takeover_ballot(id: ProcessId, n: usize, seen: Ballot) -> Ballot {
-    let n = n as Ballot;
-    id as Ballot + n * (seen / n + 1)
-}
-
-/// The process that owns `ballot` under the [`takeover_ballot`] scheme:
-/// `((ballot − 1) mod n) + 1`. Only meaningful for `ballot ≥ 1`.
-pub fn ballot_owner(n: usize, ballot: Ballot) -> ProcessId {
-    debug_assert!(ballot >= 1, "ballot 0 has no owner");
-    (((ballot - 1) % n as Ballot) + 1) as ProcessId
-}
-
-/// View-aware [`takeover_ballot`]: the smallest ballot owned by `id` under
-/// `view` that is strictly greater than both `seen` and the view's
-/// [`ballot floor`](ClusterView::ballot_floor). Ownership positions are
-/// drawn from the view's member list (old and new members during the joint
-/// window), so takeover ballots work with non-contiguous identifiers; the
+/// The smallest ballot owned by `id` under `view` that is strictly greater
+/// than both `seen` and the view's [`ballot
+/// floor`](ClusterView::ballot_floor). Ownership positions are drawn from
+/// the view's member list (old and new members during the joint window),
+/// so takeover ballots work with non-contiguous identifiers; the
 /// epoch floor keeps ballots minted under different member counts from
 /// colliding (the owner arithmetic is modular in the member count).
 pub fn takeover_ballot_in(view: &ClusterView, id: ProcessId, seen: Ballot) -> Ballot {
@@ -67,8 +49,8 @@ pub fn takeover_ballot_in(view: &ClusterView, id: ProcessId, seen: Ballot) -> Ba
     pos + n * (floor / n + 1)
 }
 
-/// View-aware [`ballot_owner`]: decodes the member that minted `ballot`
-/// under `view`, or `None` when the ballot predates the view's epoch (or is
+/// Decodes the member that minted `ballot` under [`takeover_ballot_in`]'s
+/// scheme for `view`, or `None` when the ballot predates the view's epoch (or is
 /// an initial-coordinator ballot) — the caller should then mint a fresh
 /// ballot instead of trusting cross-epoch owner arithmetic.
 pub fn ballot_owner_in(view: &ClusterView, ballot: Ballot) -> Option<ProcessId> {
@@ -112,54 +94,19 @@ where
 }
 
 impl Atlas {
-    /// Starts recovery for every in-flight command coordinated by
-    /// `suspected`, including commands this replica only knows as missing
-    /// dependencies of committed commands.
-    pub(crate) fn recover_suspected(
-        &mut self,
-        suspected: ProcessId,
-        time: Time,
-    ) -> Vec<Action<Message>> {
-        if suspected == self.id {
-            return Vec::new();
-        }
-        let mut dots: HashSet<Dot> = self
-            .info
-            .iter()
-            .filter(|(dot, info)| {
-                dot.coordinator() == suspected
-                    && !matches!(info.phase, Phase::Commit | Phase::Execute)
-            })
-            .map(|(dot, _)| *dot)
-            .collect();
-        for dot in self.graph.missing_dependencies() {
-            if dot.coordinator() == suspected {
-                dots.insert(dot);
-            }
-        }
-        // Deterministic recovery order keeps runs reproducible.
-        let mut dots: Vec<Dot> = dots.into_iter().collect();
-        dots.sort_unstable();
-        let mut actions = Vec::new();
-        for dot in dots {
-            actions.extend(self.recover(dot, time));
-        }
-        actions
-    }
-
     /// Takes over as coordinator of `dot` (Algorithm 2, line 31).
-    pub(crate) fn recover(&mut self, dot: Dot, _time: Time) -> Vec<Action<Message>> {
-        if self.collected(&dot) {
+    pub(crate) fn recover(&mut self, dot: Dot) -> Vec<Action<Message>> {
+        if self.core.collected(&dot) {
             // Executed everywhere and garbage-collected; nothing can be
             // blocked on it, so there is nothing to recover.
             return Vec::new();
         }
-        self.metrics.recoveries += 1;
-        let id = self.id;
-        let view = self.view.clone();
-        let everyone = self.everyone();
+        self.core.metrics.recoveries += 1;
+        let id = self.core.id();
+        let view = self.core.view().clone();
+        let everyone = self.core.everyone();
         let info = self.info_mut(dot);
-        if matches!(info.phase, Phase::Commit | Phase::Execute) {
+        if info.phase == Phase::Commit {
             return Vec::new();
         }
         // Pick a ballot owned by this replica under the current view,
@@ -177,7 +124,7 @@ impl Atlas {
         cmd: Command,
         ballot: Ballot,
     ) -> Vec<Action<Message>> {
-        if self.collected(&dot) {
+        if self.core.collected(&dot) {
             // The identifier executed at every replica (including the
             // recoverer, by the all-executed GC horizon) before being
             // collected here; a recovery probe for it is a straggler. The
@@ -185,29 +132,22 @@ impl Atlas {
             // and unnecessary: no live replica is blocked on this dot.
             return Vec::new();
         }
-        // If the command is already committed or executed here, short-circuit
-        // the recovery with an MCommit (line 35-36).
-        {
-            let info = self.info_mut(dot);
-            if matches!(info.phase, Phase::Commit | Phase::Execute) {
-                let cmd = info.cmd.clone().expect("committed command is known");
-                let deps = info.deps.clone();
-                return vec![Action::send([from], Message::MCommit { dot, cmd, deps })];
-            }
-            if info.bal >= ballot {
-                // Stale recovery attempt.
-                return Vec::new();
-            }
+        let info = self.info_mut(dot);
+        // If the command is already committed here, short-circuit the
+        // recovery with an MCommit (lines 35-36).
+        if info.phase == Phase::Commit {
+            let cmd = info.cmd.clone().expect("committed command is known");
+            let deps = info.deps.clone();
+            return vec![Action::send([from], Message::MCommit { dot, cmd, deps })];
         }
-        // If this replica has never seen the command (line 39-40), its
+        if info.bal >= ballot {
+            // Stale recovery attempt.
+            return Vec::new();
+        }
+        // If this replica has never seen the command (lines 39-40), its
         // contribution is its current set of conflicts for the command.
-        let seen_before = {
-            let info = self.info_mut(dot);
-            !(info.bal == 0 && info.phase == Phase::Start)
-        };
-        if !seen_before {
-            let deps = self.key_deps.conflicts(&cmd);
-            self.key_deps.add(dot, &cmd);
+        if info.bal == 0 && info.phase == Phase::Start {
+            let deps = self.core.key_deps.conflicts_and_add(dot, &cmd);
             let info = self.info_mut(dot);
             info.deps = deps;
             info.cmd = Some(cmd);
@@ -239,16 +179,16 @@ impl Atlas {
         accepted_ballot: Ballot,
         ballot: Ballot,
     ) -> Vec<Action<Message>> {
-        if self.collected(&dot) {
+        if self.core.collected(&dot) {
             // A straggling ack for a collected identifier; `info_mut` below
             // would resurrect an empty entry that GC could never drop.
             return Vec::new();
         }
-        let view = self.view.clone();
-        let base = self.config;
-        let everyone = self.everyone();
+        let view = self.core.view().clone();
+        let base = self.core.config();
+        let everyone = self.core.everyone();
         let info = self.info_mut(dot);
-        if matches!(info.phase, Phase::Commit | Phase::Execute) || info.committed_sent {
+        if info.phase == Phase::Commit || info.committed_sent {
             return Vec::new();
         }
         // Precondition (line 45): we are still leading ballot `ballot`.
@@ -475,10 +415,10 @@ mod tests {
         // Nobody ever saw ⟨1,1⟩; process 3 recovers it directly.
         let dot = Dot::new(1, 1);
         net.crash(1);
-        let actions = net.replica(3).recover(dot, 0);
+        let actions = net.replica(3).recover(dot);
         net.run(3, actions);
         let info = net.replicas[2].info.get(&dot).unwrap();
-        assert!(matches!(info.phase, Phase::Commit | Phase::Execute));
+        assert!(info.phase == Phase::Commit);
         assert!(info.cmd.as_ref().unwrap().is_noop());
         // noOps are not applied to the state machine.
         assert_eq!(net.executed.get(&3).map(Vec::len).unwrap_or(0), 0);
@@ -496,7 +436,7 @@ mod tests {
         // All replicas committed; now replica 4 runs a (redundant) recovery.
         let dot = Dot::new(1, 1);
         let deps_before = net.replicas[0].info.get(&dot).unwrap().deps.clone();
-        let actions = net.replica(4).recover(dot, 0);
+        let actions = net.replica(4).recover(dot);
         net.run(4, actions);
         for replica in &net.replicas {
             let info = replica.info.get(&dot).unwrap();
@@ -540,7 +480,7 @@ mod tests {
             .filter(|r| {
                 r.info
                     .get(&dot_a)
-                    .map(|i| matches!(i.phase, Phase::Commit | Phase::Execute))
+                    .map(|i| i.phase == Phase::Commit)
                     .unwrap_or(false)
             })
             .count();
@@ -576,10 +516,10 @@ mod tests {
         net.suspect(5, 1);
         // 5 only knows about the dot through recovery of... it doesn't know
         // the dot at all, so nothing happens. Recover explicitly.
-        let actions = net.replica(5).recover(dot, 0);
+        let actions = net.replica(5).recover(dot);
         net.run(5, actions);
         let info = net.replicas[4].info.get(&dot).unwrap();
-        assert!(matches!(info.phase, Phase::Commit | Phase::Execute));
+        assert!(info.phase == Phase::Commit);
         assert_eq!(info.cmd.as_ref().unwrap().rifl, cmd.rifl);
         assert_eq!(info.deps, deps);
     }
@@ -667,7 +607,7 @@ mod tests {
                 Default::default();
             for replica in &net.replicas[1..] {
                 for (dot, info) in &replica.info {
-                    if !matches!(info.phase, Phase::Commit | Phase::Execute) {
+                    if info.phase != Phase::Commit {
                         continue;
                     }
                     let noop = info.cmd.as_ref().unwrap().is_noop();
@@ -727,7 +667,7 @@ mod tests {
                 continue;
             }
             if let Some(info) = replica.info.get(&dot) {
-                if matches!(info.phase, Phase::Commit | Phase::Execute) {
+                if info.phase == Phase::Commit {
                     committed_deps.push(info.deps.clone());
                 }
             }

@@ -45,9 +45,9 @@ pub enum JournalRecord {
         payload: Vec<u8>,
     },
     /// During catch-up, peers reported having seen this replica's
-    /// identifiers up to `past`
-    /// ([`Protocol::advance_identifiers`]).
-    /// Journaled so the advance survives a second crash.
+    /// identifiers up to `past`, and the replica moved its identifier
+    /// generator past it ([`Protocol::install`] without a base). Journaled so
+    /// the advance survives a second crash.
     Advance {
         /// Horizon below which identifiers must never be reissued.
         past: u64,

@@ -43,13 +43,13 @@
 //! its data directory rejoins with
 //! [`catch_up`](replica::ReplicaConfig::catch_up): it **streams** committed
 //! state from every reachable peer as a sequence of bounded-size
-//! [`wire::CatchUpChunk`]s — an executed-state base (store records, the
-//! execution record, the protocol's
-//! [`save_executed`](atlas_core::Protocol::save_executed) marker) applied
-//! atomically, then each peer's retained committed log replayed through
-//! the normal message path (base-covered entries are idempotent no-ops) —
-//! advancing its identifier generator past the
-//! peers' observed horizon so identifiers of the lost incarnation are never
+//! [`wire::CatchUpChunk`]s carrying each peer's protocol
+//! [`transfer`](atlas_core::Protocol::transfer) — an executed-state base
+//! (store records, the execution record, the protocol's opaque base)
+//! applied atomically, then each peer's retained committed log replayed
+//! through the normal message path (base-covered entries are idempotent
+//! no-ops) — and advances its identifier generator past the peers'
+//! observed horizon so identifiers of the lost incarnation are never
 //! reissued. No frame ever carries the whole history, so catch-up keeps
 //! working after the committed log has outgrown
 //! [`wire::MAX_FRAME_BYTES`]. Peer links carry sequence numbers and

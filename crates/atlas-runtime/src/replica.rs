@@ -33,16 +33,16 @@
 //! With [`ReplicaConfig::catch_up`] also set (a replica whose disk was
 //! lost), it first streams committed state from every reachable peer over a
 //! [`Hello::CatchUp`] exchange — a sequence of bounded-size
-//! [`CatchUpChunk`]s, applied incrementally: the first peer's
-//! **executed-state base** (store records, execution-record slices and the
-//! protocol's [`save_executed`](Protocol::save_executed) marker, installed
-//! atomically so a mid-stream disconnect can always be retried cleanly)
-//! followed by each peer's retained committed log replayed through the
-//! normal message path (base-covered entries replay as idempotent
-//! no-ops). It then advances its identifier
-//! generator past the peers' observed
-//! [`seen_horizon`](Protocol::seen_horizon) so identifiers of the lost
-//! incarnation are never reissued. Commands that were still in flight (not
+//! [`CatchUpChunk`]s, applied incrementally. Each peer serves its
+//! protocol's [`transfer`](Protocol::transfer): the horizon of this
+//! replica's identifiers it has seen, which [`install`](Protocol::install)
+//! moves the identifier generator past so identifiers of the lost
+//! incarnation are never reissued; the first peer's **executed-state
+//! base** (store records, execution-record slices and the protocol's
+//! opaque base, installed atomically so a mid-stream disconnect can always
+//! be retried cleanly); and its retained committed log, replayed through
+//! the normal message path (base-covered entries replay as idempotent
+//! no-ops). Commands that were still in flight (not
 //! committed anywhere) when the disk was lost are not recovered — that is
 //! the window the paper's recovery protocol ([`Protocol::suspect`]) exists
 //! for.
@@ -953,7 +953,9 @@ impl<P: Protocol> Core<P> {
                 let actions = self.protocol.handle(from, msg, 0);
                 self.perform(actions, 0);
             }
-            JournalRecord::Advance { past } => self.protocol.advance_identifiers(past),
+            JournalRecord::Advance { past } => {
+                self.protocol.install(past, None);
+            }
             JournalRecord::Gc { horizon } => {
                 // Replayed at its original position in the input order, so
                 // the compaction floor — which changes how straggler
@@ -1203,9 +1205,6 @@ impl<P: Protocol> Core<P> {
     /// the on-disk half of compaction.
     fn gc_round(&mut self) -> io::Result<()> {
         let mine = self.protocol.executed_watermarks();
-        if mine.is_empty() {
-            return Ok(()); // protocol without GC support
-        }
         for link in self.links.values() {
             link.send_watermarks(mine.clone());
         }
@@ -1258,12 +1257,13 @@ impl<P: Protocol> Core<P> {
 
     /// Builds the full catch-up stream for a recovering peer as encoded
     /// [`CatchUpChunk`] frames, each payload bounded by the configured
-    /// chunk budget: `Start` (identifier horizon + executed marker), the
+    /// chunk budget: `Start` (identifier horizon + protocol base), the
     /// store records and execution-record slices of the executed-state
     /// base, then this replica's **entire retained committed log** — the
     /// executed entries included, because an entry executed here may be
     /// unknown to the peer whose base the receiver installed, and the
-    /// receiver's marker makes replaying base-covered entries a no-op.
+    /// receiver's installed base makes replaying the entries it covers a
+    /// no-op.
     /// Payloads are encoded into frames as they are produced, so peak
     /// memory is one serialized copy of the state (held in the reply
     /// channel until the acceptor drains it), never the payloads *and*
@@ -1311,9 +1311,10 @@ impl<P: Protocol> Core<P> {
             frames: Vec::new(),
             held: None,
         };
+        let transfer = self.protocol.transfer(from);
         stream.push(CatchUpPayload::Start {
-            horizon: self.protocol.seen_horizon(from),
-            executed: self.protocol.save_executed(),
+            horizon: transfer.horizon,
+            executed: transfer.base,
             store_executed: store.executed(),
             view: self.view.clone(),
             addrs: self.addrs_wire(),
@@ -1339,7 +1340,7 @@ impl<P: Protocol> Core<P> {
         // Messages vary in size: pack by actual encoded bytes.
         let mut group: Vec<Vec<u8>> = Vec::new();
         let mut group_bytes = 0usize;
-        for msg in self.protocol.committed_log() {
+        for msg in transfer.log {
             let encoded = bincode::serialize(&msg).expect("protocol messages always encode");
             if !group.is_empty() && group_bytes + encoded.len() > budget {
                 stream.push(CatchUpPayload::Msgs(std::mem::take(&mut group)));
@@ -1863,7 +1864,8 @@ impl<P: Protocol> Core<P> {
 /// `last` flag) — from that point on, a partially applied message tail is
 /// fine, because message application is idempotent on top of the base.
 struct PendingBase {
-    marker: Vec<u8>,
+    horizon: u64,
+    base: Vec<u8>,
     store_executed: u64,
     records: Vec<(Key, Value)>,
     log: Vec<(Dot, Rifl)>,
@@ -1871,21 +1873,21 @@ struct PendingBase {
 
 impl PendingBase {
     /// Installs the buffered base into `core` — the transferred store
-    /// records and execution record plus the protocol's executed marker —
-    /// unless a base is already installed or the protocol refuses the
-    /// marker. A refusal on a **fresh** replica means the marker is
-    /// undecodable: that is an error (fail the stream so it is retried;
-    /// committing to message-only replay and snapshotting the result would
-    /// silently persist a truncated state whenever the peers have
-    /// garbage-collected). A refusal on a replica with **local progress**
-    /// is the `--catch-up`-with-surviving-data-dir flow: fall back to full
+    /// records and execution record plus the protocol's base — unless a
+    /// base is already installed or the protocol refuses it. A refusal on
+    /// a **fresh** replica means the base is undecodable: that is an error
+    /// (fail the stream so it is retried; committing to message-only
+    /// replay and snapshotting the result would silently persist a
+    /// truncated state whenever the peers have garbage-collected). A
+    /// refusal on a replica with **local progress** is the
+    /// `--catch-up`-with-surviving-data-dir flow: fall back to full
     /// committed-log replay on top — complete as long as the peers never
     /// collected, which the loud warning spells out.
     fn install<P: Protocol>(self, core: &mut Core<P>, base_installed: &mut bool) -> io::Result<()> {
         if *base_installed {
             return Ok(());
         }
-        if core.protocol.restore_executed(&self.marker) {
+        if core.protocol.install(self.horizon, Some(&self.base)) {
             for (key, value) in self.records {
                 core.exec.restore_record(key, value);
             }
@@ -1896,7 +1898,7 @@ impl PendingBase {
         }
         if core.log.is_empty() && core.exec.is_empty() {
             return Err(corrupt(format!(
-                "replica {}: peer's executed-state marker did not decode",
+                "replica {}: peer's executed-state base did not decode",
                 core.id
             )));
         }
@@ -1984,11 +1986,12 @@ async fn fetch_catch_up<P: Protocol>(
                 core.adopt_runtime_view(&view, &addrs)?;
                 if horizon > 0 {
                     core.journal_append(&JournalRecord::Advance { past: horizon })?;
-                    core.protocol.advance_identifiers(horizon);
+                    core.protocol.install(horizon, None);
                 }
                 if !*base_installed {
                     pending = Some(PendingBase {
-                        marker: executed,
+                        horizon,
+                        base: executed,
                         store_executed,
                         records: Vec::new(),
                         log: Vec::new(),

@@ -128,8 +128,7 @@ pub struct EpochUpdate {
 /// One frame of the streamed answer to a [`Hello::CatchUp`] request.
 ///
 /// The serving replica sends `Start`, then the executed-state base (its
-/// `Store` records and `Log` slices, present when the hosted protocol
-/// supports an executed marker), then its retained committed log as
+/// `Store` records and `Log` slices), then its retained committed log as
 /// `Msgs` — every frame bounded by the configured chunk budget, the
 /// final one flagged [`last`](CatchUpChunk::last). The receiver applies
 /// chunks incrementally, but installs the base **atomically** when the
@@ -154,11 +153,13 @@ pub enum CatchUpPayload {
     Start {
         /// Highest identifier sequence the serving replica has seen from
         /// the requester (committed or in flight); the requester must not
-        /// reissue identifiers at or below it.
+        /// reissue identifiers at or below it. The
+        /// [`Transfer::horizon`](atlas_core::Transfer::horizon) of the
+        /// serving protocol.
         horizon: u64,
-        /// The serving protocol's [`executed
-        /// marker`](atlas_core::Protocol::save_executed): which identifiers
-        /// the transferred store already reflects.
+        /// The serving protocol's opaque
+        /// [`Transfer::base`](atlas_core::Transfer::base): which
+        /// identifiers the transferred store already reflects.
         executed: Vec<u8>,
         /// The serving store's executed-command counter.
         store_executed: u64,
@@ -173,9 +174,9 @@ pub enum CatchUpPayload {
     Store(Vec<(Key, Value)>),
     /// A slice of the serving replica's execution record, in order.
     Log(Vec<(Dot, Rifl)>),
-    /// bincode encodings of the serving replica's retained
-    /// [`committed_log`](atlas_core::Protocol::committed_log) — executed
-    /// entries included, since an entry executed at this server may be
+    /// bincode encodings of the serving replica's retained committed log
+    /// ([`Transfer::log`](atlas_core::Transfer::log)) — executed entries
+    /// included, since an entry executed at this server may be
     /// unknown to the peer whose base the receiver installed; base-covered
     /// entries replay as idempotent no-ops.
     Msgs(Vec<Vec<u8>>),

@@ -290,14 +290,15 @@ fn mid_stream_disconnect_leaves_rejoiner_able_to_retry() {
     rt.block_on(async {
         let (server, executed) = build_server_history(40);
         // The state a real server would transfer.
-        let marker = server.save_executed();
+        let transfer = server.transfer(2);
+        let marker = transfer.base;
         let mut store = KVStore::new();
         for (_, cmd) in &executed {
             store.execute(cmd);
         }
         let records: Vec<(Key, u64)> = store.records().collect();
         let log: Vec<(Dot, Rifl)> = executed.iter().map(|(d, c)| (*d, c.rifl)).collect();
-        let horizon = server.seen_horizon(2);
+        let horizon = transfer.horizon;
         let expected_digest = store.digest();
         let expected_entries = log.len();
 
@@ -308,8 +309,8 @@ fn mid_stream_disconnect_leaves_rejoiner_able_to_retry() {
         let store_executed = store.executed();
         let half = records.len() / 2;
         let (first_half, second_half) = (records[..half].to_vec(), records[half..].to_vec());
-        let msgs: Vec<Vec<u8>> = server
-            .committed_log()
+        let msgs: Vec<Vec<u8>> = transfer
+            .log
             .iter()
             .map(|m| bincode::serialize(m).unwrap())
             .collect();

@@ -7,8 +7,10 @@
 //! * restoring a mid-run snapshot and replaying the input suffix yields the
 //!   **same state bytes** as replaying the full input history — the
 //!   correctness condition behind journal truncation;
-//! * a fresh replica fed a peer's `committed_log` converges to the same
-//!   store state (the peer-assisted catch-up payload is sufficient);
+//! * a fresh replica fed the log of a peer's `transfer` converges to the
+//!   same store state (the peer-assisted catch-up payload is sufficient),
+//!   and `install` adopts a peer's base only on a replica that has
+//!   executed nothing while always advancing its identifiers;
 //! * the GC invariant sweep: a cluster that garbage-collects executed
 //!   entries on the all-executed horizon mid-run executes **exactly** the
 //!   same command sequence (hence identical digests and per-key order) as
@@ -236,7 +238,7 @@ where
     }
 }
 
-fn committed_log_rebuilds_store<P: Protocol>()
+fn transferred_log_rebuilds_store<P: Protocol>()
 where
     P::Message: Clone,
 {
@@ -249,7 +251,8 @@ where
 
     // A fresh replica 3 (wiped disk) is fed replica 1's committed log, the
     // catch-up payload, as ordinary messages from peer 1.
-    let committed = net.replicas[0].committed_log();
+    let transfer = net.replicas[0].transfer(3);
+    let committed = transfer.log;
     assert!(
         !committed.is_empty(),
         "{}: a loaded replica must export a committed log",
@@ -273,12 +276,90 @@ where
 
     // The serving peer must also report how far it has seen the wiped
     // replica's identifier space, so identifiers are never reissued.
-    let horizon = net.replicas[0].seen_horizon(3);
     assert!(
-        horizon > 0,
+        transfer.horizon > 0,
         "{}: peer must have seen replica 3's identifiers",
         P::name()
     );
+}
+
+/// The catch-up pair: `install(horizon, Some(base))` adopts a peer's
+/// executed state on a fresh replica (the peer's log then replays as
+/// no-ops), refuses it — changing no executed state — on a replica that
+/// has executed something, and `install(horizon, None)` alone already
+/// moves the next identifier past `horizon`.
+fn transfer_install_pair<P: Protocol>()
+where
+    P::Message: Clone,
+{
+    let donor = drive::<P>(10);
+    let transfer = donor.replicas[0].transfer(3);
+
+    let mut fresh = P::new(3, Config::new(3, 1), Topology::identity(3, 3));
+    assert!(
+        !fresh.install(0, Some(&[0xff; 3])),
+        "{}: an undecodable base must be refused",
+        P::name()
+    );
+    assert!(
+        fresh.install(transfer.horizon, Some(&transfer.base)),
+        "{}: a fresh replica must accept a peer's base",
+        P::name()
+    );
+    assert_eq!(
+        fresh.executed_watermarks(),
+        donor.replicas[0].executed_watermarks(),
+        "{}: the base must mark exactly the donor's executed identifiers",
+        P::name()
+    );
+    for msg in transfer.log {
+        let executed = fresh
+            .handle(1, msg, 0)
+            .into_iter()
+            .filter(|a| matches!(a, Action::Execute { .. }))
+            .count();
+        assert_eq!(
+            executed,
+            0,
+            "{}: a base-covered entry re-executed",
+            P::name()
+        );
+    }
+
+    let mut busy = drive::<P>(2);
+    let replica = busy.replica(3);
+    let before = replica.executed_watermarks();
+    assert!(
+        !replica.install(transfer.horizon, Some(&transfer.base)),
+        "{}: a replica that executed something must refuse a base",
+        P::name()
+    );
+    assert_eq!(
+        replica.executed_watermarks(),
+        before,
+        "{}: a refused base changed the executed state",
+        P::name()
+    );
+
+    // Replica 1 (the leader, for the leader-based protocols) moves past
+    // `horizon` — alone, or together with a base whose executed prefix ends
+    // below it — and the identifier of its next command, as its peers see
+    // it, lies beyond. (Kept within Mencius's proposal window, which parks
+    // proposals more than `RECONFIG_ALPHA` slots past the executed prefix.)
+    let horizon = transfer.horizon + 20;
+    for base in [None, Some(transfer.base.as_slice())] {
+        let mut net = Net::<P>::new(3, 1);
+        assert!(net.replica(1).install(horizon, base));
+        net.submit(1, put(1, 1, 0));
+        let seen = net.replicas[1].transfer(1).horizon;
+        assert!(
+            seen > horizon,
+            "{}: next identifier {seen} does not exceed the installed horizon {horizon} \
+             (base: {})",
+            P::name(),
+            base.is_some()
+        );
+    }
 }
 
 /// The all-executed horizon of a cluster: for every identifier space
@@ -376,7 +457,7 @@ where
 
     // Straggler duplicates of collected commits (an at-least-once link
     // replaying old frames) must be ignored: no actions, no new entries.
-    let stragglers = pristine.replicas[0].committed_log();
+    let stragglers = pristine.replicas[0].transfer(2).log;
     let replica = &mut collected.replicas[1];
     let tracked_before = replica.tracked_entries();
     let mut actions = 0;
@@ -478,8 +559,13 @@ macro_rules! durability_hook_tests {
             }
 
             #[test]
-            fn committed_log_rebuilds_store() {
-                super::committed_log_rebuilds_store::<$proto>();
+            fn transferred_log_rebuilds_store() {
+                super::transferred_log_rebuilds_store::<$proto>();
+            }
+
+            #[test]
+            fn transfer_install_pair() {
+                super::transfer_install_pair::<$proto>();
             }
 
             #[test]

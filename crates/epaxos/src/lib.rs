@@ -59,13 +59,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use atlas_core::protocol::Time;
+use atlas_core::protocol::{Time, Transfer};
 use atlas_core::{
-    Action, ClusterView, Command, Config, Dot, DotGen, ProcessId, Protocol, ProtocolMetrics,
-    Topology,
+    Action, ClusterView, Command, Config, Dot, ProcessId, Protocol, ProtocolMetrics, Topology,
 };
 use atlas_protocol::recovery::{ballot_owner_in, highest_accepted, takeover_ballot_in, RecAck};
-use atlas_protocol::{DependencyGraph, KeyDeps};
+use atlas_protocol::{DepCore, Entry};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
@@ -171,8 +170,9 @@ impl Message {
 }
 
 /// Progress of an instance at this replica.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 enum Phase {
+    #[default]
     Start,
     PreAccept,
     Accept,
@@ -184,7 +184,7 @@ enum Phase {
 
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 struct Info {
-    phase: Option<Phase>,
+    phase: Phase,
     cmd: Option<Command>,
     deps: HashSet<Dot>,
     /// Highest ballot this replica has promised or accepted (`bal`); 0
@@ -209,67 +209,27 @@ struct Info {
     committed_sent: bool,
 }
 
-impl Info {
-    fn phase(&self) -> Phase {
-        self.phase.unwrap_or(Phase::Start)
+impl Entry for Info {
+    fn committed(&self) -> Option<(&Command, &HashSet<Dot>)> {
+        if self.phase != Phase::Commit {
+            return None;
+        }
+        Some((self.cmd.as_ref()?, &self.deps))
     }
 }
 
-/// An EPaxos replica.
+/// An EPaxos replica: its per-instance entries on top of the bookkeeping
+/// it shares with Atlas ([`DepCore`]).
 #[derive(Debug, Serialize, Deserialize)]
 pub struct EPaxos {
-    id: ProcessId,
-    config: Config,
-    topology: Topology,
-    dot_gen: DotGen,
-    key_deps: KeyDeps,
+    core: DepCore,
     info: HashMap<Dot, Info>,
-    graph: DependencyGraph,
-    metrics: ProtocolMetrics,
-    commit_times: HashMap<Dot, Time>,
-    /// Highest identifier sequence seen per source; kept separately from
-    /// the `info` keys so the seen horizon survives garbage collection.
-    seen: HashMap<ProcessId, u64>,
-    /// The configuration epoch this replica operates in; `config` and
-    /// `topology` always mirror it (spanning the union of both member sets
-    /// during the joint window).
-    view: ClusterView,
 }
 
 impl EPaxos {
     fn info_mut(&mut self, dot: Dot) -> &mut Info {
-        let seen = self.seen.entry(dot.source).or_insert(0);
-        *seen = (*seen).max(dot.seq);
+        self.core.see(dot);
         self.info.entry(dot).or_default()
-    }
-
-    /// Whether `dot` is at or below the GC floor (executed at every replica
-    /// and its bookkeeping dropped here); messages about it are stragglers.
-    fn collected(&self, dot: &Dot) -> bool {
-        dot.seq <= self.graph.floor_of(dot.source)
-    }
-
-    /// EPaxos fast quorum: the closest `f_max + ⌈(f_max+1)/2⌉` processes.
-    fn fast_quorum(&self) -> Vec<ProcessId> {
-        self.topology
-            .closest_quorum(self.config.epaxos_fast_quorum_size())
-    }
-
-    /// Slow-path (accept) quorum: a plain majority.
-    fn slow_quorum(&self) -> Vec<ProcessId> {
-        self.topology.closest_quorum(self.config.majority())
-    }
-
-    /// Every process this replica talks to (all current members plus
-    /// itself). Replaces `Action::broadcast(n, ..)`, whose `1..=n` targets
-    /// are wrong once a reconfiguration makes identifiers non-contiguous.
-    fn everyone(&self) -> Vec<ProcessId> {
-        let mut all = self.topology.processes.clone();
-        if !all.contains(&self.id) {
-            all.push(self.id);
-            all.sort_unstable();
-        }
-        all
     }
 
     fn handle_preaccept(
@@ -280,15 +240,14 @@ impl EPaxos {
         deps: HashSet<Dot>,
         quorum: Vec<ProcessId>,
     ) -> Vec<Action<Message>> {
-        if self.collected(&dot) || self.info_mut(dot).phase() != Phase::Start {
+        if self.core.collected(&dot) || self.info_mut(dot).phase != Phase::Start {
             return Vec::new();
         }
-        let mut local = self.key_deps.conflicts(&cmd);
+        let mut local = self.core.key_deps.conflicts_and_add(dot, &cmd);
         local.extend(deps);
         local.remove(&dot);
-        self.key_deps.add(dot, &cmd);
         let info = self.info_mut(dot);
-        info.phase = Some(Phase::PreAccept);
+        info.phase = Phase::PreAccept;
         info.cmd = Some(cmd);
         info.deps = local.clone();
         info.quorum = quorum;
@@ -303,26 +262,25 @@ impl EPaxos {
         from: ProcessId,
         dot: Dot,
         deps: HashSet<Dot>,
-        time: Time,
     ) -> Vec<Action<Message>> {
-        if self.collected(&dot) {
+        if self.core.collected(&dot) {
             // A straggling ack for a collected instance; `info_mut` below
             // would resurrect an empty entry that GC could never drop.
             return Vec::new();
         }
-        let view = self.view.clone();
-        let base = self.config;
-        let everyone = self.everyone();
+        let view = self.core.view().clone();
+        let base = self.core.config();
+        let everyone = self.core.everyone();
         let slow_quorum = if view.is_joint() {
             // Joint window: the accept phase needs a majority of *both*
             // configurations — send to everyone and let the dual count in
             // `handle_accept_ack` decide.
             everyone.clone()
         } else {
-            self.slow_quorum()
+            self.core.closest(Config::majority)
         };
         let info = self.info_mut(dot);
-        if info.phase() != Phase::PreAccept || info.decided {
+        if info.phase != Phase::PreAccept || info.decided {
             return Vec::new();
         }
         if !info.quorum.contains(&from) {
@@ -357,21 +315,19 @@ impl EPaxos {
 
         if matching {
             info.committed_sent = true;
-            self.metrics.fast_paths += 1;
-            let mut actions = vec![Action::send(
+            self.core.metrics.fast_paths += 1;
+            vec![Action::send(
                 everyone,
                 Message::MCommit {
                     dot,
                     cmd,
                     deps: first,
                 },
-            )];
-            actions.extend(self.drain_executions(Vec::new(), time));
-            actions
+            )]
         } else {
             // Slow path: accept the union of the replies at a majority.
-            self.metrics.slow_paths += 1;
-            let ballot = self.id as Ballot;
+            self.core.metrics.slow_paths += 1;
+            let ballot = self.core.id() as Ballot;
             vec![Action::send(
                 slow_quorum,
                 Message::MAccept {
@@ -392,13 +348,13 @@ impl EPaxos {
         deps: HashSet<Dot>,
         ballot: Ballot,
     ) -> Vec<Action<Message>> {
-        if self.collected(&dot) {
+        if self.core.collected(&dot) {
             // Executed everywhere and garbage-collected; the proposer has
             // it too, so no short-circuit MCommit is needed (or possible).
             return Vec::new();
         }
         let info = self.info_mut(dot);
-        if info.phase() == Phase::Commit {
+        if info.phase == Phase::Commit {
             let cmd = info.cmd.clone().expect("committed command is known");
             let deps = info.deps.clone();
             return vec![Action::send([from], Message::MCommit { dot, cmd, deps })];
@@ -406,7 +362,7 @@ impl EPaxos {
         if info.bal > ballot {
             return Vec::new();
         }
-        info.phase = Some(Phase::Accept);
+        info.phase = Phase::Accept;
         info.cmd = Some(cmd);
         info.deps = deps;
         info.bal = ballot;
@@ -419,16 +375,15 @@ impl EPaxos {
         from: ProcessId,
         dot: Dot,
         ballot: Ballot,
-        time: Time,
     ) -> Vec<Action<Message>> {
-        if self.collected(&dot) {
+        if self.core.collected(&dot) {
             return Vec::new(); // straggling ack for a collected instance
         }
-        let view = self.view.clone();
-        let base = self.config;
-        let everyone = self.everyone();
+        let view = self.core.view().clone();
+        let base = self.core.config();
+        let everyone = self.core.everyone();
         let info = self.info_mut(dot);
-        if info.bal != ballot || info.phase() == Phase::Commit || info.committed_sent {
+        if info.bal != ballot || info.phase == Phase::Commit || info.committed_sent {
             return Vec::new();
         }
         let acks = info.accept_acks.entry(ballot).or_default();
@@ -441,9 +396,7 @@ impl EPaxos {
         info.committed_sent = true;
         let cmd = info.cmd.clone().expect("accepted command is known");
         let deps = info.deps.clone();
-        let mut actions = vec![Action::send(everyone, Message::MCommit { dot, cmd, deps })];
-        actions.extend(self.drain_executions(Vec::new(), time));
-        actions
+        vec![Action::send(everyone, Message::MCommit { dot, cmd, deps })]
     }
 
     fn handle_commit(
@@ -453,75 +406,21 @@ impl EPaxos {
         deps: HashSet<Dot>,
         time: Time,
     ) -> Vec<Action<Message>> {
-        if self.graph.is_executed(&dot) {
+        if self.core.is_executed(&dot) {
             // Already executed here: a garbage-collected entry (the floor
-            // implies it) or one covered by a catch-up base marker, where
-            // no `info` entry exists to dedupe through. A duplicate commit
+            // implies it) or one covered by a catch-up base, where no
+            // `info` entry exists to dedupe through. A duplicate commit
             // must not resurrect bookkeeping.
             return Vec::new();
         }
-        {
-            let info = self.info_mut(dot);
-            if info.phase() == Phase::Commit {
-                return Vec::new();
-            }
-            info.phase = Some(Phase::Commit);
-            info.cmd = Some(cmd.clone());
-            info.deps = deps.clone();
-        }
-        self.key_deps.add(dot, &cmd);
-        self.metrics.commits += 1;
-        self.metrics.record_dependencies(deps.len());
-        self.commit_times.insert(dot, time);
-        let executed =
-            self.graph
-                .commit_recording(dot, cmd, deps.into_iter().collect(), &mut self.metrics);
-        self.drain_executions(executed, time)
-    }
-
-    fn drain_executions(
-        &mut self,
-        executed: Vec<(Dot, Command)>,
-        time: Time,
-    ) -> Vec<Action<Message>> {
-        let mut actions = Vec::with_capacity(executed.len());
-        for (dot, cmd) in executed {
-            self.metrics.executions += 1;
-            if let Some(commit_time) = self.commit_times.remove(&dot) {
-                self.metrics
-                    .record_commit_to_execute(time.saturating_sub(commit_time));
-            }
-            actions.push(Action::Execute { dot, cmd });
-        }
-        actions
-    }
-
-    /// Starts (or re-drives) explicit-prepare recovery for every in-flight
-    /// instance coordinated by `suspected`, including instances this
-    /// replica only knows as missing dependencies of committed commands.
-    fn recover_suspected(&mut self, suspected: ProcessId) -> Vec<Action<Message>> {
-        if suspected == self.id {
+        let info = self.info_mut(dot);
+        if info.phase == Phase::Commit {
             return Vec::new();
         }
-        let mut dots: HashSet<Dot> = self
-            .info
-            .iter()
-            .filter(|(dot, info)| dot.coordinator() == suspected && info.phase() != Phase::Commit)
-            .map(|(dot, _)| *dot)
-            .collect();
-        for dot in self.graph.missing_dependencies() {
-            if dot.coordinator() == suspected {
-                dots.insert(dot);
-            }
-        }
-        // Deterministic recovery order keeps runs reproducible.
-        let mut dots: Vec<Dot> = dots.into_iter().collect();
-        dots.sort_unstable();
-        let mut actions = Vec::new();
-        for dot in dots {
-            actions.extend(self.prepare(dot));
-        }
-        actions
+        info.phase = Phase::Commit;
+        info.cmd = Some(cmd.clone());
+        info.deps = deps.clone();
+        self.core.commit(dot, cmd, deps, time)
     }
 
     /// Takes over as coordinator of `dot` with an explicit prepare. A
@@ -529,16 +428,16 @@ impl EPaxos {
     /// instance's current ballot re-sends the *same* prepare (lost-message
     /// recovery) instead of opening a second ballot.
     fn prepare(&mut self, dot: Dot) -> Vec<Action<Message>> {
-        if self.collected(&dot) {
+        if self.core.collected(&dot) {
             // Executed everywhere and garbage-collected; nothing can be
             // blocked on it, so there is nothing to recover.
             return Vec::new();
         }
-        let id = self.id;
-        let view = self.view.clone();
-        let everyone = self.everyone();
+        let id = self.core.id();
+        let view = self.core.view().clone();
+        let everyone = self.core.everyone();
         let info = self.info_mut(dot);
-        if info.phase() == Phase::Commit {
+        if info.phase == Phase::Commit {
             return Vec::new();
         }
         // A ballot this replica minted in the *current* epoch is re-sent as
@@ -553,7 +452,7 @@ impl EPaxos {
         };
         let cmd = info.cmd.clone().unwrap_or_else(Command::noop);
         if !resend {
-            self.metrics.recoveries += 1;
+            self.core.metrics.recoveries += 1;
         }
         vec![Action::send(
             everyone,
@@ -570,44 +469,37 @@ impl EPaxos {
         cmd: Command,
         ballot: Ballot,
     ) -> Vec<Action<Message>> {
-        if self.collected(&dot) {
+        if self.core.collected(&dot) {
             // The instance executed at every replica before being collected
             // here; a recovery probe for it is a straggler and must not
             // resurrect bookkeeping (or panic) — nothing can be blocked on
             // a collected instance.
             return Vec::new();
         }
-        {
-            let info = self.info_mut(dot);
-            if info.phase() == Phase::Commit {
-                // Already decided here: short-circuit the recovery.
-                let cmd = info.cmd.clone().expect("committed command is known");
-                let deps = info.deps.clone();
-                return vec![Action::send([from], Message::MCommit { dot, cmd, deps })];
-            }
-            if info.bal > ballot {
-                // Stale takeover attempt. A *re-sent* prepare at exactly the
-                // promised ballot is re-acknowledged (at-least-once links).
-                return Vec::new();
-            }
+        let info = self.info_mut(dot);
+        if info.phase == Phase::Commit {
+            // Already decided here: short-circuit the recovery.
+            let cmd = info.cmd.clone().expect("committed command is known");
+            let deps = info.deps.clone();
+            return vec![Action::send([from], Message::MCommit { dot, cmd, deps })];
+        }
+        if info.bal > ballot {
+            // Stale takeover attempt. A *re-sent* prepare at exactly the
+            // promised ballot is re-acknowledged (at-least-once links).
+            return Vec::new();
         }
         // If this replica has never seen the instance, its contribution is
         // its current set of conflicts for the command — and the command is
         // indexed so later conflicting commands observe it.
-        let seen_before = {
-            let info = self.info_mut(dot);
-            !(info.bal == 0 && info.phase() == Phase::Start)
-        };
-        if !seen_before {
-            let deps = self.key_deps.conflicts(&cmd);
-            self.key_deps.add(dot, &cmd);
+        if info.bal == 0 && info.phase == Phase::Start {
+            let deps = self.core.key_deps.conflicts_and_add(dot, &cmd);
             let info = self.info_mut(dot);
             info.deps = deps;
             info.cmd = Some(cmd);
         }
         let info = self.info_mut(dot);
         info.bal = ballot;
-        info.phase = Some(Phase::Recover);
+        info.phase = Phase::Recover;
         let reply = Message::MPrepareOk {
             dot,
             cmd: info.cmd.clone().unwrap_or_else(Command::noop),
@@ -633,16 +525,16 @@ impl EPaxos {
         accepted_ballot: Ballot,
         ballot: Ballot,
     ) -> Vec<Action<Message>> {
-        if self.collected(&dot) {
+        if self.core.collected(&dot) {
             // A straggling ack for a collected instance; `info_mut` below
             // would resurrect an empty entry that GC could never drop.
             return Vec::new();
         }
-        let view = self.view.clone();
-        let base = self.config;
-        let everyone = self.everyone();
+        let view = self.core.view().clone();
+        let base = self.core.config();
+        let everyone = self.core.everyone();
         let info = self.info_mut(dot);
-        if info.phase() == Phase::Commit || info.committed_sent || info.bal != ballot {
+        if info.phase == Phase::Commit || info.committed_sent || info.bal != ballot {
             return Vec::new();
         }
         let acks = info.prepare_acks.entry(ballot).or_default();
@@ -737,45 +629,35 @@ impl Protocol for EPaxos {
     }
 
     fn new(id: ProcessId, config: Config, topology: Topology) -> Self {
-        let view = ClusterView::at(0, topology.processes.clone(), config.f);
         Self {
-            id,
-            config,
-            topology,
-            dot_gen: DotGen::new(id),
-            key_deps: KeyDeps::new(config.nfr),
+            core: DepCore::new(id, config, topology),
             info: HashMap::new(),
-            graph: DependencyGraph::new(),
-            metrics: ProtocolMetrics::new(),
-            commit_times: HashMap::new(),
-            seen: HashMap::new(),
-            view,
         }
     }
 
     fn id(&self) -> ProcessId {
-        self.id
+        self.core.id()
     }
 
     fn config(&self) -> Config {
-        self.config
+        self.core.config()
     }
 
     fn view(&self) -> &ClusterView {
-        &self.view
+        self.core.view()
     }
 
     fn submit(&mut self, cmd: Command, _time: Time) -> Vec<Action<Message>> {
-        let dot = self.dot_gen.next_dot();
-        let deps = self.key_deps.conflicts(&cmd);
-        let quorum = if self.view.is_joint() {
+        let dot = self.core.dot_gen.next_dot();
+        let deps = self.core.key_deps.conflicts(&cmd);
+        let quorum = if self.core.view().is_joint() {
             // Joint window: pre-accept at everyone and decide on a dual
             // majority (see `handle_preaccept_ack`).
-            self.everyone()
-        } else if self.config.nfr && cmd.is_read_only() {
-            self.topology.closest_quorum(self.config.majority())
+            self.core.everyone()
+        } else if self.core.config().nfr && cmd.is_read_only() {
+            self.core.closest(Config::majority)
         } else {
-            self.fast_quorum()
+            self.core.closest(Config::epaxos_fast_quorum_size)
         };
         vec![Action::send(
             quorum.clone(),
@@ -800,16 +682,14 @@ impl Protocol for EPaxos {
                 deps,
                 quorum,
             } => self.handle_preaccept(from, dot, cmd, deps, quorum),
-            Message::MPreAcceptAck { dot, deps } => {
-                self.handle_preaccept_ack(from, dot, deps, time)
-            }
+            Message::MPreAcceptAck { dot, deps } => self.handle_preaccept_ack(from, dot, deps),
             Message::MAccept {
                 dot,
                 cmd,
                 deps,
                 ballot,
             } => self.handle_accept(from, dot, cmd, deps, ballot),
-            Message::MAcceptAck { dot, ballot } => self.handle_accept_ack(from, dot, ballot, time),
+            Message::MAcceptAck { dot, ballot } => self.handle_accept_ack(from, dot, ballot),
             Message::MCommit { dot, cmd, deps } => self.handle_commit(dot, cmd, deps, time),
             Message::MPrepare { dot, cmd, ballot } => self.handle_prepare(from, dot, cmd, ballot),
             Message::MPrepareOk {
@@ -823,26 +703,6 @@ impl Protocol for EPaxos {
         }
     }
 
-    fn committed_log(&self) -> Vec<Message> {
-        let mut commits: Vec<(Dot, Message)> = self
-            .info
-            .iter()
-            .filter(|(_, info)| info.phase() == Phase::Commit)
-            .filter_map(|(dot, info)| {
-                Some((
-                    *dot,
-                    Message::MCommit {
-                        dot: *dot,
-                        cmd: info.cmd.clone()?,
-                        deps: info.deps.clone(),
-                    },
-                ))
-            })
-            .collect();
-        commits.sort_by_key(|(dot, _)| *dot);
-        commits.into_iter().map(|(_, msg)| msg).collect()
-    }
-
     /// Ballot-based explicit-prepare instance recovery (see the crate
     /// docs): takes over every in-flight instance of the suspected
     /// coordinator, adopting accepted or possibly-fast-committed values and
@@ -852,121 +712,48 @@ impl Protocol for EPaxos {
     /// prepare — and deterministic (state-only, no clock or randomness),
     /// as the journal-replay contract requires.
     fn suspect(&mut self, suspected: ProcessId, _time: Time) -> Vec<Action<Message>> {
-        self.recover_suspected(suspected)
+        let dots = self.core.suspected_dots(suspected, &self.info);
+        dots.into_iter().flat_map(|dot| self.prepare(dot)).collect()
+    }
+
+    fn reconfigure(&mut self, view: &ClusterView, _time: Time) -> Vec<Action<Message>> {
+        // Liveness across the switch: the re-driven instances go through
+        // explicit prepare, whose accept phase gathers quorums under the
+        // *new* view.
+        let stuck = self.core.switch_view(view, &self.info);
+        stuck
+            .into_iter()
+            .flat_map(|dot| self.prepare(dot))
+            .collect()
     }
 
     fn executed_watermarks(&self) -> Vec<(ProcessId, u64)> {
-        // The union with `seen` keeps reporting the identifier spaces of
-        // members a reconfiguration removed, so their leftover entries can
-        // still be collected once every current replica has executed them.
-        let mut spaces: Vec<ProcessId> = self.topology.processes.clone();
-        spaces.extend(self.seen.keys().copied());
-        spaces.sort_unstable();
-        spaces.dedup();
-        let mut watermarks: Vec<(ProcessId, u64)> = spaces
-            .into_iter()
-            .map(|p| (p, self.graph.executed_frontier(p)))
-            .collect();
-        watermarks.sort_unstable();
-        watermarks
+        self.core.executed_watermarks()
     }
 
     fn gc_executed(&mut self, horizon: &[(ProcessId, u64)]) -> u64 {
-        self.graph.compact_below(horizon);
-        // Everything at or below the floor goes — including empty shells a
-        // straggler ack may have resurrected after an earlier collection.
-        let before = self.info.len();
-        let graph = &self.graph;
-        self.info
-            .retain(|dot, _| dot.seq > graph.floor_of(dot.source));
-        let dropped = (before - self.info.len()) as u64;
-        self.key_deps.prune_below(horizon);
-        dropped
-    }
-
-    fn save_executed(&self) -> Vec<u8> {
-        // The view rides along so a bootstrap base covering an executed
-        // `Reconfigure` barrier still hands the joiner its configuration.
-        let marker = (self.graph.executed_marker(), self.view.clone());
-        bincode::serialize(&marker).expect("markers always encode")
-    }
-
-    fn restore_executed(&mut self, marker: &[u8]) -> bool {
-        let Ok((marker, view)) =
-            bincode::deserialize::<(atlas_protocol::ExecutedMarker, ClusterView)>(marker)
-        else {
-            return false;
-        };
-        if !self.graph.restore_marker(&marker) {
-            return false;
-        }
-        if view.epoch > self.view.epoch {
-            self.config = view.config(self.config);
-            self.topology = Topology::from_members(self.id, &view.all_members());
-            self.view = view;
-        }
-        for &(source, frontier) in &marker.frontiers {
-            let seen = self.seen.entry(source).or_insert(0);
-            *seen = (*seen).max(frontier);
-        }
-        for dot in &marker.above {
-            let seen = self.seen.entry(dot.source).or_insert(0);
-            *seen = (*seen).max(dot.seq);
-        }
-        true
+        self.core.gc(horizon, &mut self.info)
     }
 
     fn tracked_entries(&self) -> usize {
         self.info.len()
     }
 
-    fn seen_horizon(&self, source: ProcessId) -> u64 {
-        self.seen.get(&source).copied().unwrap_or(0)
+    fn transfer(&self, to: ProcessId) -> Transfer<Message> {
+        self.core
+            .transfer(to, &self.info, |dot, cmd, deps| Message::MCommit {
+                dot,
+                cmd,
+                deps,
+            })
     }
 
-    fn advance_identifiers(&mut self, past: u64) {
-        self.dot_gen.advance_past(past);
+    fn install(&mut self, horizon: u64, base: Option<&[u8]>) -> bool {
+        self.core.install(horizon, base)
     }
 
     fn metrics(&self) -> &ProtocolMetrics {
-        &self.metrics
-    }
-
-    fn reconfigure(&mut self, view: &ClusterView, _time: Time) -> Vec<Action<Message>> {
-        // Idempotence: apply only strictly newer views (the runtime may
-        // deliver the same epoch both via the log barrier and a journaled
-        // epoch record on replay).
-        if view.epoch <= self.view.epoch {
-            return Vec::new();
-        }
-        self.view = view.clone();
-        self.config = view.config(self.config);
-        self.topology = Topology::from_members(self.id, &view.all_members());
-        if !view.all_members().contains(&self.id) {
-            // Removed replicas stop driving instances; the runtime retires
-            // them shortly after.
-            return Vec::new();
-        }
-        // Liveness across the switch: re-drive every in-flight instance
-        // this replica coordinates, plus any whose coordinator the new view
-        // dropped, through explicit prepare — its accept phase gathers
-        // quorums under the *new* view. Sorted for replay determinism.
-        let members = self.view.all_members();
-        let mut stuck: Vec<Dot> = self
-            .info
-            .iter()
-            .filter(|(_, info)| info.phase() != Phase::Commit)
-            .filter(|(dot, _)| {
-                dot.coordinator() == self.id || !members.contains(&dot.coordinator())
-            })
-            .map(|(dot, _)| *dot)
-            .collect();
-        stuck.sort_unstable();
-        let mut actions = Vec::new();
-        for dot in stuck {
-            actions.extend(self.prepare(dot));
-        }
-        actions
+        &self.core.metrics
     }
 }
 
@@ -1159,7 +946,7 @@ mod tests {
         let dot = Dot::new(1, 1);
         for id in 2..=5u32 {
             let info = cluster.replicas[(id - 1) as usize].info.get(&dot).unwrap();
-            assert_eq!(info.phase(), Phase::Commit, "replica {id}");
+            assert_eq!(info.phase, Phase::Commit, "replica {id}");
             let committed = info.cmd.as_ref().unwrap();
             assert!(!committed.is_noop(), "replica {id} committed a noOp");
             assert_eq!(committed.rifl, cmd.rifl);
@@ -1195,10 +982,12 @@ mod tests {
         cluster.crash(1);
         cluster.suspect(3, 1);
         let info = cluster.replicas[2].info.get(&missing).unwrap();
-        assert_eq!(info.phase(), Phase::Commit);
+        assert_eq!(info.phase, Phase::Commit);
         assert!(info.cmd.as_ref().unwrap().is_noop());
-        // The dependant executed; the noOp itself is never applied.
+        // The dependant executed; the noOp itself is never applied, but it
+        // is counted.
         assert_eq!(cluster.executed.get(&3).unwrap(), &vec![blocked]);
+        assert!(cluster.replicas[2].metrics().noops >= 1);
     }
 
     #[test]
@@ -1220,7 +1009,7 @@ mod tests {
         cluster.suspect(2, 1);
         let info = cluster.replicas[1].info.get(&dot).unwrap();
         assert_eq!(info.bal, first_ballot, "re-dispatch opened a new ballot");
-        assert_ne!(info.phase(), Phase::Commit, "two replies cannot commit");
+        assert_ne!(info.phase, Phase::Commit, "two replies cannot commit");
         assert_eq!(
             cluster.replicas[1].metrics().recoveries,
             1,
@@ -1231,7 +1020,7 @@ mod tests {
         cluster.crashed.remove(&4);
         cluster.suspect(2, 1);
         let info = cluster.replicas[1].info.get(&dot).unwrap();
-        assert_eq!(info.phase(), Phase::Commit);
+        assert_eq!(info.phase, Phase::Commit);
         assert!(!info.cmd.as_ref().unwrap().is_noop());
     }
 
@@ -1271,7 +1060,7 @@ mod tests {
         cluster.suspect(5, 1);
         for id in [2u32, 3, 4, 5] {
             let info = cluster.replicas[(id - 1) as usize].info.get(&dot).unwrap();
-            assert_eq!(info.phase(), Phase::Commit, "replica {id}");
+            assert_eq!(info.phase, Phase::Commit, "replica {id}");
             assert_eq!(info.cmd.as_ref().unwrap().rifl, cmd.rifl);
             assert_eq!(info.deps, deps, "replica {id} lost the accepted deps");
         }
@@ -1398,7 +1187,7 @@ mod tests {
             let mut by_dot: HashMap<Dot, (bool, HashSet<Dot>)> = HashMap::new();
             for replica in &net.replicas[1..] {
                 for (dot, info) in &replica.info {
-                    if info.phase() != Phase::Commit {
+                    if info.phase != Phase::Commit {
                         continue;
                     }
                     let noop = info.cmd.as_ref().unwrap().is_noop();

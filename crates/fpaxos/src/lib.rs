@@ -24,7 +24,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use atlas_core::protocol::Time;
+use atlas_core::protocol::{Time, Transfer};
 use atlas_core::view::EPOCH_BALLOT_STRIDE;
 use atlas_core::{
     Action, ClusterView, Command, Config, Dot, ProcessId, Protocol, ProtocolMetrics, Rifl, Topology,
@@ -566,6 +566,34 @@ impl FPaxos {
         let _ = time;
         actions
     }
+
+    /// The base half of [`Protocol::install`]: adopts a peer's executed
+    /// watermark and configuration, on a fresh replica only.
+    fn install_base(&mut self, bytes: &[u8]) -> bool {
+        type Base = (Slot, ClusterView, Vec<(u64, Vec<ProcessId>)>, Ballot);
+        let Ok((watermark, view, rings, leader_ballot)) = bincode::deserialize::<Base>(bytes)
+        else {
+            return false;
+        };
+        if self.execute_next != 1 {
+            return false; // only a fresh replica may adopt a peer's base
+        }
+        self.execute_next = watermark + 1;
+        self.gc_floor = watermark;
+        self.next_slot = self.next_slot.max(watermark + 1);
+        self.note_slot(watermark);
+        if view.epoch > self.view.epoch {
+            self.config = view.config(self.config);
+            self.topology = Topology::from_members(self.id, &view.all_members());
+            self.rings = rings;
+            self.view = view;
+        }
+        // Adopting the peer's *observed* leader ballot is pure learning —
+        // no promise is made — and keeps a fresh joiner from forwarding
+        // submissions to a long-deposed boot leader.
+        self.leader_ballot = self.leader_ballot.max(leader_ballot);
+        true
+    }
 }
 
 impl Protocol for FPaxos {
@@ -666,18 +694,6 @@ impl Protocol for FPaxos {
         }
     }
 
-    fn committed_log(&self) -> Vec<Message> {
-        // Slot order; noOp gap-fillers are included so the receiver's
-        // in-order executor does not stall on them.
-        self.decided
-            .iter()
-            .map(|(&slot, cmd)| Message::MCommit {
-                slot,
-                cmd: cmd.clone(),
-            })
-            .collect()
-    }
-
     fn executed_watermarks(&self) -> Vec<(ProcessId, u64)> {
         // One shared totally ordered log; report its contiguous executed
         // prefix under the sentinel space 0 (no replica has identifier 0).
@@ -706,59 +722,44 @@ impl Protocol for FPaxos {
         dropped
     }
 
-    fn save_executed(&self) -> Vec<u8> {
+    fn tracked_entries(&self) -> usize {
+        self.log.len() + self.decided.len()
+    }
+
+    fn transfer(&self, _to: ProcessId) -> Transfer<Message> {
         // Watermark plus configuration: the view and ring history let a
-        // joiner whose bootstrap base covers an executed `Reconfigure`
-        // barrier decode old-epoch leader ballots, and the observed leader
-        // ballot points its submissions at the current leader immediately.
-        let marker = (
+        // joiner whose base covers an executed `Reconfigure` barrier decode
+        // old-epoch leader ballots, and the observed leader ballot points
+        // its submissions at the current leader immediately.
+        let base = (
             self.execute_next - 1,
             self.view.clone(),
             self.rings.clone(),
             self.leader_ballot,
         );
-        bincode::serialize(&marker).expect("markers always encode")
-    }
-
-    fn restore_executed(&mut self, marker: &[u8]) -> bool {
-        type FpMarker = (Slot, ClusterView, Vec<(u64, Vec<ProcessId>)>, Ballot);
-        let Ok((watermark, view, rings, leader_ballot)) = bincode::deserialize::<FpMarker>(marker)
-        else {
-            return false;
-        };
-        if self.execute_next != 1 {
-            return false; // only a fresh replica may adopt a peer's base
+        Transfer {
+            // Slots are assigned centrally by the leader rather than per
+            // process, so the horizon is the highest slot this replica has
+            // seen in any role — tracked apart from the (GC-trimmed) maps.
+            horizon: self.max_seen_slot,
+            base: bincode::serialize(&base).expect("markers always encode"),
+            // Slot order; noOp gap-fillers are included so the receiver's
+            // in-order executor does not stall on them.
+            log: self
+                .decided
+                .iter()
+                .map(|(&slot, cmd)| Message::MCommit {
+                    slot,
+                    cmd: cmd.clone(),
+                })
+                .collect(),
         }
-        self.execute_next = watermark + 1;
-        self.gc_floor = watermark;
-        self.next_slot = self.next_slot.max(watermark + 1);
-        self.note_slot(watermark);
-        if view.epoch > self.view.epoch {
-            self.config = view.config(self.config);
-            self.topology = Topology::from_members(self.id, &view.all_members());
-            self.rings = rings;
-            self.view = view;
-        }
-        // Adopting the peer's *observed* leader ballot is pure learning —
-        // no promise is made — and keeps a fresh joiner from forwarding
-        // submissions to a long-deposed boot leader.
-        self.leader_ballot = self.leader_ballot.max(leader_ballot);
-        true
     }
 
-    fn tracked_entries(&self) -> usize {
-        self.log.len() + self.decided.len()
-    }
-
-    fn seen_horizon(&self, _source: ProcessId) -> u64 {
-        // Slots are assigned centrally by the leader rather than per
-        // process, so the horizon is the highest slot this replica has seen
-        // in any role — tracked separately from the (GC-trimmed) maps.
-        self.max_seen_slot
-    }
-
-    fn advance_identifiers(&mut self, past: u64) {
-        self.next_slot = self.next_slot.max(past + 1);
+    fn install(&mut self, horizon: u64, base: Option<&[u8]>) -> bool {
+        let installed = base.is_none_or(|bytes| self.install_base(bytes));
+        self.next_slot = self.next_slot.max(horizon + 1);
+        installed
     }
 
     // Safe under the runtime detector's repeated dispatch: the suspected

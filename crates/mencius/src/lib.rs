@@ -73,7 +73,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use atlas_core::protocol::Time;
+use atlas_core::protocol::{Time, Transfer};
 use atlas_core::{
     Action, ClusterView, Command, Config, Dot, ProcessId, Protocol, ProtocolMetrics, Topology,
 };
@@ -931,6 +931,44 @@ impl Mencius {
         }
         actions
     }
+
+    /// The base half of [`Protocol::install`]: adopts a peer's executed
+    /// watermark, rings and view, on a fresh replica only.
+    fn install_base(&mut self, bytes: &[u8]) -> bool {
+        let Ok(marker) = bincode::deserialize::<RingMarker>(bytes) else {
+            return false;
+        };
+        if self.execute_next != 1 {
+            return false; // only a fresh replica may adopt a peer's base
+        }
+        // Adopt the donor's rings and view wholesale: the base marker may
+        // cover log this replica never saw, and a ring cut inside it is a
+        // function of the barrier slot — which only replicas that executed
+        // the barrier know.
+        self.execute_next = marker.watermark + 1;
+        self.gc_floor = marker.watermark;
+        self.rings = marker.rings;
+        if marker.view.epoch > self.view.epoch {
+            self.view = marker.view;
+            self.config = self.view.config(self.config);
+        }
+        self.next_owned = self.next_owned_after(marker.watermark);
+        // Every slot up to the watermark was seen (it executed); record the
+        // last ring's worth so seen horizons stay truthful.
+        let span = self
+            .rings
+            .last()
+            .map(|seg| seg.members.len())
+            .unwrap_or(self.config.n) as Slot;
+        let base = marker
+            .watermark
+            .saturating_sub(span.saturating_sub(1))
+            .max(1);
+        for slot in base..=marker.watermark {
+            self.note_slot(slot);
+        }
+        true
+    }
 }
 
 impl Protocol for Mencius {
@@ -1015,29 +1053,6 @@ impl Protocol for Mencius {
                 self.handle_revoke_accepted(from, ballot, slots)
             }
         }
-    }
-
-    fn committed_log(&self) -> Vec<Message> {
-        // One MSkip carrying every skipped slot, then the commits in slot
-        // order. `handle_skip`/`handle_commit` are both idempotent inserts,
-        // so the receiver's in-order executor replays this from any state.
-        let skipped: Vec<Slot> = self
-            .decided
-            .iter()
-            .filter(|(_, entry)| entry.is_none())
-            .map(|(&slot, _)| slot)
-            .collect();
-        let mut log = Vec::new();
-        if !skipped.is_empty() {
-            log.push(Message::MSkip { slots: skipped });
-        }
-        log.extend(self.decided.iter().filter_map(|(&slot, entry)| {
-            entry.as_ref().map(|cmd| Message::MCommit {
-                slot,
-                cmd: cmd.clone(),
-            })
-        }));
-        log
     }
 
     /// Slot revocation (see the crate docs): stop waiting for the
@@ -1159,63 +1174,48 @@ impl Protocol for Mencius {
         dropped
     }
 
-    fn save_executed(&self) -> Vec<u8> {
-        let marker = RingMarker {
-            watermark: self.execute_next - 1,
-            rings: self.rings.clone(),
-            view: self.view.clone(),
-        };
-        bincode::serialize(&marker).expect("markers always encode")
-    }
-
-    fn restore_executed(&mut self, marker: &[u8]) -> bool {
-        let Ok(marker) = bincode::deserialize::<RingMarker>(marker) else {
-            return false;
-        };
-        if self.execute_next != 1 {
-            return false; // only a fresh replica may adopt a peer's base
-        }
-        // Adopt the donor's rings and view wholesale: the base marker may
-        // cover log this replica never saw, and a ring cut inside it is a
-        // function of the barrier slot — which only replicas that executed
-        // the barrier know.
-        self.execute_next = marker.watermark + 1;
-        self.gc_floor = marker.watermark;
-        self.rings = marker.rings;
-        if marker.view.epoch > self.view.epoch {
-            self.view = marker.view;
-            self.config = self.view.config(self.config);
-        }
-        self.next_owned = self.next_owned_after(marker.watermark);
-        // Every slot up to the watermark was seen (it executed); record the
-        // last ring's worth so seen horizons stay truthful.
-        let span = self
-            .rings
-            .last()
-            .map(|seg| seg.members.len())
-            .unwrap_or(self.config.n) as Slot;
-        let base = marker
-            .watermark
-            .saturating_sub(span.saturating_sub(1))
-            .max(1);
-        for slot in base..=marker.watermark {
-            self.note_slot(slot);
-        }
-        true
-    }
-
     fn tracked_entries(&self) -> usize {
         self.decided.len() + self.proposals.len()
     }
 
-    fn seen_horizon(&self, source: ProcessId) -> u64 {
-        self.max_seen.get(&source).copied().unwrap_or(0)
+    fn transfer(&self, to: ProcessId) -> Transfer<Message> {
+        let base = RingMarker {
+            watermark: self.execute_next - 1,
+            rings: self.rings.clone(),
+            view: self.view.clone(),
+        };
+        // One MSkip carrying every skipped slot, then the commits in slot
+        // order. `handle_skip`/`handle_commit` are both idempotent inserts,
+        // so the receiver's in-order executor replays this from any state.
+        let skipped: Vec<Slot> = self
+            .decided
+            .iter()
+            .filter(|(_, entry)| entry.is_none())
+            .map(|(&slot, _)| slot)
+            .collect();
+        let mut log = Vec::new();
+        if !skipped.is_empty() {
+            log.push(Message::MSkip { slots: skipped });
+        }
+        log.extend(self.decided.iter().filter_map(|(&slot, entry)| {
+            entry.as_ref().map(|cmd| Message::MCommit {
+                slot,
+                cmd: cmd.clone(),
+            })
+        }));
+        Transfer {
+            horizon: self.max_seen.get(&to).copied().unwrap_or(0),
+            base: bincode::serialize(&base).expect("markers always encode"),
+            log,
+        }
     }
 
-    fn advance_identifiers(&mut self, past: u64) {
-        if self.next_owned != Slot::MAX && self.next_owned <= past {
-            self.next_owned = self.next_owned_after(past);
+    fn install(&mut self, horizon: u64, base: Option<&[u8]>) -> bool {
+        let installed = base.is_none_or(|bytes| self.install_base(bytes));
+        if self.next_owned != Slot::MAX && self.next_owned <= horizon {
+            self.next_owned = self.next_owned_after(horizon);
         }
+        installed
     }
 
     fn metrics(&self) -> &ProtocolMetrics {
